@@ -18,7 +18,8 @@ from repro.experiments.report import sparkline, text_table
 from repro.experiments.runner import run_monitored
 from repro.sim.clock import ms
 from repro.tools.registry import create_tool
-from repro.workloads.base import Block, MemOp, OpKind, Program, RateBlock, TraceBlock
+from repro.workloads.base import (KIND_STORE, Block, MemOp, OpKind, Program,
+                                  RateBlock, Trace, TraceBlock)
 
 EVENTS = ("LOADS", "STORES", "ARITH_MUL", "LLC_MISSES")
 
@@ -55,11 +56,16 @@ class ImageFilterPipeline(Program):
                 label=f"convolve-{frame}",
             )
             # Encode: stream the frame out — fresh lines, genuine misses.
-            ops = [MemOp(output_base + (cursor + index) * line, OpKind.STORE)
-                   for index in range(40_000)]
+            # A trace is two columns: int64 addresses, int8 op kinds.
+            addresses = output_base + (cursor + np.arange(40_000)) * line
+            kinds = np.full(len(addresses), KIND_STORE, dtype=np.int8)
             cursor += 40_000
-            yield TraceBlock(ops=ops, instructions_per_op=6,
-                             event_scale=4, label=f"encode-{frame}")
+            yield TraceBlock(ops=Trace(addresses, kinds),
+                             instructions_per_op=6, event_scale=4,
+                             label=f"encode-{frame}")
+        # Short traces may be written as MemOp lists (converted once).
+        yield TraceBlock(ops=[MemOp(output_base, OpKind.FLUSH)],
+                         label="release")
 
 
 def main() -> None:

@@ -12,9 +12,11 @@ three on top of the monitoring substrate:
 * :mod:`repro.apps.verification` — program identity/version
   verification from counter signatures;
 * :mod:`repro.apps.colocation` — contention-aware workload co-location
-  (the Fig. 5 classification put to work);
-* :mod:`repro.apps.smp` — shared-LLC multi-core clusters for true
-  parallel contention studies (and per-core K-LEB monitoring).
+  (the Fig. 5 classification put to work).
+
+The shared-LLC multi-core cluster names that co-location studies run
+on (``SmpCluster``, ``corun_parallel``) are re-exported from the SMP
+substrate, :mod:`repro.kernel.smp`.
 """
 
 from repro.apps.power import PowerModel, PowerEstimate, estimate_power_series
@@ -30,7 +32,7 @@ from repro.apps.colocation import (
     corun,
     plan_colocation,
 )
-from repro.apps.smp import (
+from repro.kernel.smp import (
     SmpCluster,
     ParallelCorunResult,
     corun_parallel,

@@ -22,19 +22,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
-try:  # numpy powers the batch trace planner; without it the scalar
-    import numpy as _np  # reference path handles everything.
-except ImportError:  # pragma: no cover - numpy is in the test matrix
-    _np = None
+import numpy as np
 
 from repro.errors import SimulationError
 from repro.hw.cache import CacheHierarchy
 from repro.hw.pmu import Pmu
 from repro.workloads.base import (
+    KIND_FLUSH,
+    KIND_STORE,
     BlockCursor,
-    OpKind,
     RateBlock,
     SyscallBlock,
     TraceBlock,
@@ -57,73 +55,54 @@ _EPOCH_EVENTS = (
 # Traces shorter than this replay faster through the scalar loop than
 # through a plan lookup; the batch planner only kicks in above it.
 _BATCH_MIN_OPS = 64
-_BATCH_PLAN_LIMIT = 64
-
-_KIND_LOAD, _KIND_STORE, _KIND_FLUSH = 0, 1, 2
 
 
-class _TracePlan:
-    """Precompiled replay plan for one (ops tuple, cache geometry) pair.
+class _TracePlan(NamedTuple):
+    """Precompiled replay plan for one (trace, cache geometry) pair.
 
     Holds only integers derived from op addresses and the level
     shift/mask geometry — never references into a live hierarchy — so
     one plan serves every cache instance with the same geometry (each
-    trial builds a fresh hierarchy).  ``ops`` is retained so the
-    ``id(ops)`` cache key cannot be recycled while the plan lives.
+    trial builds a fresh hierarchy).  Columns are Python lists: replay
+    indexes them one op at a time.
     """
 
-    __slots__ = (
-        "ops", "kindcat", "seg_end", "flush_start", "flush_collapsed",
-        "se1", "tg1", "se2", "tg2", "se3", "tg3",
-        "pre_store", "pre_flush", "guard_min",
-    )
+    kindcat: list    # per op: 0 probe, 1 MRU repeat, 2 flush, 3 sure miss
+    seg_end: list    # end of the maximal same-category run holding the op
+    guard_min: list  # guaranteed-miss guard, suffix-min over its run
+    se1: list        # per-level set index and tag
+    tg1: list
+    se2: list
+    tg2: list
+    se3: list
+    tg3: list
+    pre_store: list  # prefix counts of stores / flushes (length n + 1)
+    pre_flush: list
 
 
-# (id(ops), geometry) -> _TracePlan, bounded FIFO.  Keyed on object
-# identity: workload generators memoize their op tuples, so the common
-# case is a handful of long-lived tuples replayed across every trial.
-_TRACE_PLANS: Dict[tuple, _TracePlan] = {}
+def _trace_plan(addresses: np.ndarray, kinds: np.ndarray,
+                geometry: tuple) -> _TracePlan:
+    """Compile the batch replay plan for one trace.
 
-
-def _trace_plan(ops: tuple, descriptors: tuple) -> Optional[_TracePlan]:
-    """Build (or fetch) the batch replay plan for ``ops``."""
-    _d1, _d2, _d3 = descriptors
-    s1, m1, t1 = _d1[1], _d1[2], _d1[3]
-    s2, m2, t2 = _d2[1], _d2[2], _d2[3]
-    s3, m3, t3 = _d3[1], _d3[2], _d3[3]
-    key = (id(ops), s1, m1, t1, s2, m2, t2, s3, m3, t3)
-    plan = _TRACE_PLANS.get(key)
-    if plan is not None:
-        return plan
-    n = len(ops)
-    try:
-        addresses = _np.fromiter((op[0] for op in ops),
-                                 dtype=_np.int64, count=n)
-    except OverflowError:  # addresses beyond int64: scalar path
-        return None
-    kinds = _np.fromiter(
-        (_KIND_FLUSH if op[1] is OpKind.FLUSH
-         else _KIND_STORE if op[1] is OpKind.STORE
-         else _KIND_LOAD for op in ops),
-        dtype=_np.int8, count=n)
-
+    A pure function of the trace's address and kind columns and the
+    hierarchy's ``(line shift, set mask, tag shift)`` per level.
+    """
+    s1, m1, t1, s2, m2, t2, s3, m3, t3 = geometry
+    n = len(addresses)
     line1 = addresses >> s1
     line2 = addresses >> s2
     line3 = addresses >> s3
-    accesses = kinds != _KIND_FLUSH
+    flushes = kinds == KIND_FLUSH
+    accesses = ~flushes
+    kindcat = np.where(flushes, 2, 0).astype(np.int8)
     # MRU mask: an access whose predecessor is an access to the same L1
     # line is a guaranteed hit (the line is most-recently-used and the
     # shortcut mutates nothing).  The first op of each execution slice
     # is forced down the probe path at replay time, mirroring the
     # scalar loop's per-slice ``last_line = -1`` reset.
-    same = _np.zeros(n, dtype=bool)
     if n > 1:
-        same[1:] = (line1[1:] == line1[:-1]) & accesses[:-1]
-    mru = accesses & same
-    kindcat = _np.where(
-        kinds == _KIND_FLUSH, _KIND_FLUSH,
-        _np.where(mru, 1, 0)).astype(_np.int8).tolist()
-    kinds_list = kinds.tolist()
+        mru = accesses[1:] & accesses[:-1] & (line1[1:] == line1[:-1])
+        kindcat[1:][mru] = 1
 
     # Guaranteed-miss analysis (Flush+Reload's reload pass): an access
     # whose most recent same-line predecessor *within this trace* is a
@@ -133,88 +112,77 @@ def _trace_plan(ops: tuple, descriptors: tuple) -> Optional[_TracePlan]:
     # records that flush's op index (-1 when the guarantee cannot be
     # made statically); replay checks guard >= slice start at run time.
     # Only valid when every level shares one line size, so "same line"
-    # means the same bytes at every level.
-    guard = [-1] * n
-    if s1 == s2 == s3:
-        lines = line1.tolist()
-        last_touch: Dict[int, int] = {}
-        for i in range(n):
-            line = lines[i]
-            previous = last_touch.get(line)
-            if kinds_list[i] == _KIND_FLUSH:
-                last_touch[line] = ~i  # flushes encode as ~index
-            else:
-                if previous is not None and previous < 0:
-                    guard[i] = ~previous
-                    if kindcat[i] == 0:
-                        kindcat[i] = 3
-                last_touch[line] = i
-
-    plan = _TracePlan()
-    plan.ops = ops
-    plan.kindcat = kindcat
-    plan.se1 = (line1 & m1).tolist()
-    plan.tg1 = (line1 >> t1).tolist()
-    plan.se2 = (line2 & m2).tolist()
-    plan.tg2 = (line2 >> t2).tolist()
-    plan.se3 = (line3 & m3).tolist()
-    plan.tg3 = (line3 >> t3).tolist()
-    stores = _np.zeros(n + 1, dtype=_np.int64)
-    _np.cumsum(kinds == _KIND_STORE, out=stores[1:])
-    plan.pre_store = stores.tolist()
-    flushes = _np.zeros(n + 1, dtype=_np.int64)
-    _np.cumsum(kinds == _KIND_FLUSH, out=flushes[1:])
-    plan.pre_flush = flushes.tolist()
+    # means the same bytes at every level.  An MRU op's predecessor is
+    # a same-line access, so no MRU op is ever guarded.
+    guard = np.full(n, -1, dtype=np.int64)
+    if s1 == s2 == s3 and n > 1:
+        # A stable sort by line puts each op right after its most
+        # recent same-line predecessor.
+        order = np.argsort(line1, kind="stable")
+        by_line = line1[order]
+        same = by_line[1:] == by_line[:-1]
+        previous = np.full(n, -1, dtype=np.int64)
+        previous[order[1:][same]] = order[:-1][same]
+        guarded = accesses & (previous >= 0) & flushes[previous]
+        guard[guarded] = previous[guarded]
+        kindcat[guarded] = 3
 
     # Segment table: for every op, the end of the maximal run of ops of
     # its category, so replay consumes flush/MRU/guaranteed-miss runs
     # in O(1) and walks probe runs in one tight inner loop.
-    seg_end = [0] * n
-    for i in range(n - 1, -1, -1):
-        if i + 1 < n and kindcat[i + 1] == kindcat[i]:
-            seg_end[i] = seg_end[i + 1]
-        else:
-            seg_end[i] = i + 1
-    plan.seg_end = seg_end
-    # Suffix-min of guard over each guaranteed-miss run: the whole
-    # remainder of a run is provably absent iff every member's flush
-    # happened at or after the slice start.
-    guard_min = guard
-    for i in range(n - 2, -1, -1):
-        if kindcat[i] == 3 and kindcat[i + 1] == 3:
-            if guard_min[i + 1] < guard_min[i]:
-                guard_min[i] = guard_min[i + 1]
-    plan.guard_min = guard_min
-    flush_start = [0] * n
-    for i in range(n):
-        if kindcat[i] == _KIND_FLUSH:
-            flush_start[i] = (flush_start[i - 1]
-                              if i and kindcat[i - 1] == _KIND_FLUSH else i)
-    plan.flush_start = flush_start
-    # Per maximal flush run: the collapsed per-level wipe list
-    # [(set index, {tags})].  A flush is a presence-independent pop, so
-    # a whole run applies as one set-intersection removal per touched
-    # set instead of three dict pops per op.
-    collapsed = {}
-    se_tg = ((plan.se1, plan.tg1), (plan.se2, plan.tg2),
-             (plan.se3, plan.tg3))
-    for run in range(n):
-        if kindcat[run] != _KIND_FLUSH or flush_start[run] != run:
-            continue
-        end = seg_end[run]
-        levels = []
-        for se, tg in se_tg:
-            wipes: Dict[int, set] = {}
-            for i in range(run, end):
-                wipes.setdefault(se[i], set()).add(tg[i])
-            levels.append(list(wipes.items()))
-        collapsed[run] = levels
-    plan.flush_collapsed = collapsed
+    boundaries = np.flatnonzero(kindcat[1:] != kindcat[:-1]) + 1
+    starts = np.concatenate(([0], boundaries))
+    ends = np.concatenate((boundaries, [n]))
+    lengths = ends - starts
+    seg_end = np.repeat(ends, lengths)
+    # Suffix-min of guard over each run: the whole remainder of a
+    # guaranteed-miss run is provably absent iff every member's flush
+    # happened at or after the slice start.  Offsetting each run by a
+    # multiple of a span wider than guard's range [-1, n) makes one
+    # reversed running minimum restart at every run boundary.
+    span = n + 2
+    offset = np.repeat(np.arange(len(starts), dtype=np.int64) * span,
+                       lengths)
+    guard_min = np.minimum.accumulate((guard + offset)[::-1])[::-1] - offset
 
-    if len(_TRACE_PLANS) >= _BATCH_PLAN_LIMIT:
-        _TRACE_PLANS.pop(next(iter(_TRACE_PLANS)))
-    _TRACE_PLANS[key] = plan
-    return plan
+    pre_store = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(kinds == KIND_STORE, out=pre_store[1:])
+    pre_flush = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(flushes, out=pre_flush[1:])
+    return _TracePlan(
+        kindcat=kindcat.tolist(),
+        seg_end=seg_end.tolist(),
+        guard_min=guard_min.tolist(),
+        se1=(line1 & m1).tolist(), tg1=(line1 >> t1).tolist(),
+        se2=(line2 & m2).tolist(), tg2=(line2 >> t2).tolist(),
+        se3=(line3 & m3).tolist(), tg3=(line3 >> t3).tolist(),
+        pre_store=pre_store.tolist(),
+        pre_flush=pre_flush.tolist(),
+    )
+
+
+def _trace_rows(addresses: np.ndarray, kinds: np.ndarray,
+                _key: object) -> tuple:
+    """The trace's columns as Python lists, for the per-op scalar loops."""
+    return addresses.tolist(), kinds.tolist()
+
+
+def _commit_stats3(cache: CacheHierarchy, n_flush: int, n_access: int,
+                   l1h: int, l1m: int, l2h: int, l2m: int, l3h: int,
+                   l3m: int) -> None:
+    """Add one 3-level replay slice's counts to the cache statistics."""
+    stats = cache.stats
+    stats.flushes += n_flush
+    if n_access:
+        stats.accesses += n_access
+        misses = stats.misses
+        misses["memory"] += l3m
+        for (level, *_, name), hit, miss in zip(
+                cache._descriptors, (l1h, l2h, l3h), (l1m, l2m, l3m)):
+            level.hits += hit
+            level.misses += miss
+            stats.hits[name] += hit
+            misses[name] += miss
 
 
 class ExecStop(enum.Enum):
@@ -316,7 +284,7 @@ class Core:
                    budget_ns: float) -> tuple:
         cache = self.cache
         if cache._num_levels == 3 and not cache.prefetch_next_line:
-            if _np is not None and len(block.ops) >= _BATCH_MIN_OPS:
+            if len(block.ops) >= _BATCH_MIN_OPS:
                 # The batch path accumulates cycles/instructions in
                 # Python ints, which reproduces the scalar float sums
                 # bit-for-bit only when every per-op increment is
@@ -330,10 +298,12 @@ class Core:
                 if (event_scale.is_integer() and folded.is_integer()
                         and folded_cycles.is_integer()
                         and self._integer_latencies()):
-                    plan = _trace_plan(block.ops, cache._descriptors)
-                    if plan is not None:
-                        return self._run_trace_batch(
-                            cursor, block, budget_ns, plan)
+                    d1, d2, d3 = cache._descriptors
+                    geometry = (d1[1], d1[2], d1[3], d2[1], d2[2], d2[3],
+                                d3[1], d3[2], d3[3])
+                    plan = block.ops.derive(geometry, _trace_plan)
+                    return self._run_trace_batch(
+                        cursor, block, budget_ns, plan)
             return self._run_trace3(cursor, block, budget_ns)
         return self._run_trace_generic(cursor, block, budget_ns)
 
@@ -349,16 +319,15 @@ class Core:
         """Segment-batched trace replay (the columnar core's hot path).
 
         Replays the slice as precompiled *segments* instead of ops:
-        maximal flush runs apply as one set-intersection wipe per
-        touched cache set, maximal same-line (MRU) runs retire in O(1)
-        with an exact closed-form budget cut, and the remaining probe
-        ops read their set indices and tags from the plan's precomputed
-        columns instead of re-deriving them from the address.  All
+        maximal same-line (MRU) runs retire in O(1) with an exact
+        closed-form budget cut, guaranteed-miss runs skip their
+        membership probes, and flush and probe ops read their set
+        indices and tags from the plan's precomputed columns instead
+        of re-deriving them from the address.  All
         statistics accumulate in flat integers flushed once per slice,
         and the PMU receives one epoch-accumulation call.  Bit-identical
         to :meth:`_run_trace3` under the seam's integrality guard: every
-        cache mutation happens with the same semantics (deletion order
-        within a flush run cannot affect dict state; MRU shortcuts
+        cache mutation happens with the same semantics (MRU shortcuts
         mutate nothing), and all counter sums are exact integer
         arithmetic below 2^53.
         """
@@ -386,7 +355,6 @@ class Core:
         kindcat = plan.kindcat
         seg_end = plan.seg_end
         guard_min = plan.guard_min
-        flush_start = plan.flush_start
         se1, tg1 = plan.se1, plan.tg1
         se2, tg2 = plan.se2, plan.tg2
         se3, tg3 = plan.se3, plan.tg3
@@ -411,42 +379,6 @@ class Core:
                 # so those ops take the full probe.
                 if guard_min[p] < start:
                     cat = 0
-            if cat == 3:
-                # Guaranteed-miss run: every op misses L1/L2/L3 and
-                # fills inward from memory, so the membership probes
-                # are skipped and only the scalar path's mutations
-                # (evict-if-full + insert per level) are applied.
-                end = seg_end[p]
-                length = end - p
-                n = int((budget_cycles - cycles) // cost_miss) + 1
-                if n > length:
-                    n = length
-                while n > 0 and cycles + (n - 1) * cost_miss >= budget_cycles:
-                    n -= 1
-                while n < length and cycles + n * cost_miss < budget_cycles:
-                    n += 1
-                stop = p + n
-                for si3, ti3, si2, ti2, si1, ti1 in zip(
-                        se3[p:stop], tg3[p:stop], se2[p:stop], tg2[p:stop],
-                        se1[p:stop], tg1[p:stop]):
-                    entries3 = sets3[si3]
-                    if len(entries3) >= w3:
-                        entries3.popitem(last=False)
-                    entries3[ti3] = True
-                    entries2 = sets2[si2]
-                    if len(entries2) >= w2:
-                        entries2.popitem(last=False)
-                    entries2[ti2] = True
-                    entries1 = sets1[si1]
-                    if len(entries1) >= w1:
-                        entries1.popitem(last=False)
-                    entries1[ti1] = True
-                l1m += n
-                l2m += n
-                l3m += n
-                cycles += n * cost_miss
-                p += n
-                continue
             if cat == 0:
                 # Probe run: per-op budget checks stay (each op's cost
                 # depends on the hit level), but segment dispatch is
@@ -493,14 +425,14 @@ class Core:
                     if p >= e or cycles >= budget_cycles:
                         break
                 continue
-            # Run segment: take as many ops as the budget admits.  The
-            # scalar loop checks ``cycles < budget`` *before* each op,
-            # so op k of the run executes iff cycles + k*cost is under
-            # budget; the float estimate is corrected to that exact
-            # integer condition.
-            end = seg_end[p]
-            length = end - p
-            cost = cost_mru if cat == 1 else cost_flush
+            # Run segment (MRU, flush or guaranteed miss): take as many
+            # ops as the budget admits.  The scalar loop checks
+            # ``cycles < budget`` *before* each op, so op k of the run
+            # executes iff cycles + k*cost is under budget; the float
+            # estimate is corrected to that exact integer condition.
+            length = seg_end[p] - p
+            cost = (cost_mru if cat == 1
+                    else cost_flush if cat == 2 else cost_miss)
             if cost <= 0:
                 n = length
             else:
@@ -511,26 +443,41 @@ class Core:
                     n -= 1
                 while n < length and cycles + n * cost < budget_cycles:
                     n += 1
+            stop = p + n
             if cat == 1:
                 l1h += n
-                cycles += n * cost_mru
+            elif cat == 2:
+                for si1, ti1, si2, ti2, si3, ti3 in zip(
+                        se1[p:stop], tg1[p:stop], se2[p:stop], tg2[p:stop],
+                        se3[p:stop], tg3[p:stop]):
+                    sets1[si1].pop(ti1, None)
+                    sets2[si2].pop(ti2, None)
+                    sets3[si3].pop(ti3, None)
             else:
-                if n == length and p == flush_start[p]:
-                    level_wipes = plan.flush_collapsed[p]
-                    for sets, wipes in ((sets1, level_wipes[0]),
-                                        (sets2, level_wipes[1]),
-                                        (sets3, level_wipes[2])):
-                        for set_index, tags in wipes:
-                            entries = sets[set_index]
-                            for tag in tags.intersection(entries):
-                                del entries[tag]
-                else:
-                    for i in range(p, p + n):
-                        sets1[se1[i]].pop(tg1[i], None)
-                        sets2[se2[i]].pop(tg2[i], None)
-                        sets3[se3[i]].pop(tg3[i], None)
-                cycles += n * cost_flush
-            p += n
+                # Guaranteed-miss run: every op misses L1/L2/L3 and
+                # fills inward from memory, so the membership probes
+                # are skipped and only the scalar path's mutations
+                # (evict-if-full + insert per level) are applied.
+                for si3, ti3, si2, ti2, si1, ti1 in zip(
+                        se3[p:stop], tg3[p:stop], se2[p:stop], tg2[p:stop],
+                        se1[p:stop], tg1[p:stop]):
+                    entries3 = sets3[si3]
+                    if len(entries3) >= w3:
+                        entries3.popitem(last=False)
+                    entries3[ti3] = True
+                    entries2 = sets2[si2]
+                    if len(entries2) >= w2:
+                        entries2.popitem(last=False)
+                    entries2[ti2] = True
+                    entries1 = sets1[si1]
+                    if len(entries1) >= w1:
+                        entries1.popitem(last=False)
+                    entries1[ti1] = True
+                l1m += n
+                l2m += n
+                l3m += n
+            cycles += n * cost
+            p = stop
 
         ops_done = p - start
         if not ops_done:
@@ -543,26 +490,7 @@ class Core:
         stores = n_store * event_scale
         loads = (n_access - n_store) * event_scale
         instructions = ops_done * op_instructions
-        if n_flush:
-            cache.stats.flushes += n_flush
-        if n_access:
-            stats = cache.stats
-            stats.accesses += n_access
-            level1.hits += l1h
-            level1.misses += l1m
-            level2.hits += l2h
-            level2.misses += l2m
-            level3.hits += l3h
-            level3.misses += l3m
-            hits = stats.hits
-            hits[_n1] += l1h
-            hits[_n2] += l2h
-            hits[_n3] += l3h
-            misses = stats.misses
-            misses[_n1] += l1m
-            misses[_n2] += l2m
-            misses[_n3] += l3m
-            misses["memory"] += l3m
+        _commit_stats3(cache, n_flush, n_access, l1h, l1m, l2h, l2m, l3h, l3m)
         self.pmu.accumulate_epoch(
             _EPOCH_EVENTS,
             (float(instructions), float(cycles), cycles * self.tsc_ratio,
@@ -602,8 +530,6 @@ class Core:
         lat2 = level2.config.hit_latency_cycles
         lat3 = level3.config.hit_latency_cycles
         lat_mem = cache.memory_latency_cycles
-        flush_kind = OpKind.FLUSH
-        store_kind = OpKind.STORE
 
         cycles = 0.0
         loads = stores = 0.0
@@ -618,13 +544,14 @@ class Core:
         last_line = -1
         ops_done = 0
         start = cursor.op_index
-        ops = block.ops
-        total = len(ops)
+        addresses, kinds = block.ops.derive("rows", _trace_rows)
+        total = len(addresses)
         while start + ops_done < total and cycles < budget_cycles:
-            address, kind = ops[start + ops_done]
+            address = addresses[start + ops_done]
+            kind = kinds[start + ops_done]
             ops_done += 1
             cycles += folded_cycles
-            if kind is flush_kind:
+            if kind == KIND_FLUSH:
                 line = address >> s1
                 sets1[line & m1].pop(line >> t1, None)
                 line = address >> s2
@@ -640,7 +567,7 @@ class Core:
             instructions += op_instructions
             # The folded accesses are additional memory instructions
             # hitting L1 (spatial locality within the cached line).
-            if kind is store_kind:
+            if kind == KIND_STORE:
                 stores += event_scale
             else:
                 loads += event_scale
@@ -694,26 +621,7 @@ class Core:
             entries1[tag1] = True
             last_line = line1
 
-        if n_flush:
-            cache.stats.flushes += n_flush
-        if n_access:
-            stats = cache.stats
-            stats.accesses += n_access
-            level1.hits += l1h
-            level1.misses += l1m
-            level2.hits += l2h
-            level2.misses += l2m
-            level3.hits += l3h
-            level3.misses += l3m
-            hits = stats.hits
-            hits[_n1] += l1h
-            hits[_n2] += l2h
-            hits[_n3] += l3h
-            misses = stats.misses
-            misses[_n1] += l1m
-            misses[_n2] += l2m
-            misses[_n3] += l3m
-            misses["memory"] += l3m
+        _commit_stats3(cache, n_flush, n_access, l1h, l1m, l2h, l2m, l3h, l3m)
         if ops_done:
             events: Dict[str, float] = {
                 "INST_RETIRED": instructions,
@@ -750,8 +658,6 @@ class Core:
         latencies.append(cache.memory_latency_cycles)
         llc_index = len(cache.levels) - 1
         memory_index = len(cache.levels)
-        flush_kind = OpKind.FLUSH
-        store_kind = OpKind.STORE
         event_scale = block.event_scale
         op_instructions = block.instructions_per_op + event_scale
         l1_latency = latencies[0]
@@ -775,12 +681,13 @@ class Core:
         instructions = 0.0
         ops_done = 0
         start = cursor.op_index
-        ops = block.ops
-        total = len(ops)
+        addresses, kinds = block.ops.derive("rows", _trace_rows)
+        total = len(addresses)
         while start + ops_done < total and cycles < budget_cycles:
-            address, kind = ops[start + ops_done]
+            address = addresses[start + ops_done]
+            kind = kinds[start + ops_done]
             cycles += folded_cycles
-            if kind is flush_kind:
+            if kind == KIND_FLUSH:
                 clflush(address)
                 cycles += _FLUSH_LATENCY_CYCLES
                 flushes += 1.0
@@ -803,7 +710,7 @@ class Core:
                         last_line = line
                 # The folded accesses are additional memory instructions
                 # hitting L1 (spatial locality within the cached line).
-                if kind is store_kind:
+                if kind == KIND_STORE:
                     stores += event_scale
                 else:
                     loads += event_scale

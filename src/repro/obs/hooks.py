@@ -24,7 +24,8 @@ The contract that keeps observability honest:
   a fresh child recorder for one trial; its :meth:`Recorder.chunk` is
   plain data that rides home on the summary, and
   :func:`merge_chunk` folds chunks into the parent in trial order —
-  ``jobs=4`` output is byte-identical to ``jobs=1``.
+  ``jobs=4`` output is byte-identical to ``jobs=1``, flight ring
+  included.
 """
 
 from __future__ import annotations
@@ -125,6 +126,7 @@ class Recorder(NullRecorder):
             if (trace or flight is not None) else None
         )
         self.flight = flight
+        self._ships_flight = False  # worker-private ring: chunk its tail
         self.publisher = publisher
         if publisher is not None:
             publisher.bind(self)
@@ -506,34 +508,42 @@ class Recorder(NullRecorder):
     def child_for_trial(self, trial: int) -> "Recorder":
         """A fresh recorder with this one's flags, stamped ``pid=trial``.
 
-        The flight ring is *shared* (one bounded window of the recent
-        past per process); the publisher is *cloned* per trial so
-        snapshots carry the right trial index and sequence numbers.
+        The flight ring is *shared* in-process, and private to the
+        trial in a pool worker (its tail then rides home in the chunk).
+        The publisher is *cloned* per trial so snapshots carry the
+        right trial index and sequence numbers.
         """
         child = Recorder(trace=(self.tracer is not None
                                 and self.tracer.retain),
                          metrics=self.metrics_enabled,
                          wallclock=self.wallclock,
-                         flight=self.flight,
+                         flight=(self.flight.for_trial()
+                                 if self.flight is not None else None),
                          publisher=(self.publisher.for_trial(trial)
                                     if self.publisher is not None
                                     else None))
+        child._ships_flight = child.flight is not self.flight
         if child.tracer is not None:
             child.tracer.pid = trial
         return child
 
     def chunk(self) -> Dict[str, object]:
         """Everything recorded, as plain picklable data."""
-        return {
+        chunk = {
             "events": (self.tracer.dump_events()
                        if self.tracer is not None else []),
             "metrics": self.registry.to_json(),
         }
+        if self._ships_flight:
+            chunk["flight"] = self.flight.tail()
+        return chunk
 
     def merge_chunk(self, chunk: Dict[str, object]) -> None:
         if self.tracer is not None:
             self.tracer.absorb_events(chunk.get("events", []))
         self.registry.merge(MetricsRegistry.from_json(chunk["metrics"]))
+        if self.flight is not None and "flight" in chunk:
+            self.flight.absorb(chunk["flight"])
 
     # ------------------------------------------------------------------
     # output

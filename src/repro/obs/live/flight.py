@@ -20,11 +20,16 @@ it from the simulation thread while the watchdog dumps from the bus
 drainer thread needs no locking — ``dump`` copies each ring with
 ``list(ring)``, which is likewise atomic enough for a diagnostic
 artifact.
+
+A pool worker's trial records into a fresh ring whose tail rides home
+in the trial's merge chunk; the parent folds the tails in trial order,
+so the ``jobs=N`` dump equals the ``jobs=1`` one.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from collections import deque
 from pathlib import Path
@@ -65,23 +70,24 @@ class FlightRecorder:
             raise ValueError(f"ring capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._rings: Dict[int, Deque[Tuple[int, Tuple]]] = {}
-        self._seq = 0
-        self.recorded = 0
+        self.recorded = 0  # also the last event's sequence number
         self.dumps = 0
+        self._pid = os.getpid()
 
     def __len__(self) -> int:
         return sum(len(ring) for ring in self._rings.values())
 
     def record(self, event: Tuple) -> None:
         """Append one tracer event tuple to its track's ring."""
-        self._seq += 1
         self.recorded += 1
-        tid = event[6]
+        self._ring(event[6]).append((self.recorded, event))
+
+    def _ring(self, tid: int) -> Deque[Tuple[int, Tuple]]:
         ring = self._rings.get(tid)
         if ring is None:
             ring = deque(maxlen=self.capacity)
             self._rings[tid] = ring
-        ring.append((self._seq, event))
+        return ring
 
     def instant(self, name: str, track: str, ts_ns: int,
                 args: Optional[Dict[str, object]] = None,
@@ -89,6 +95,30 @@ class FlightRecorder:
         """Record an ad-hoc instant directly (watchdog ``health:*``)."""
         self.record(("i", name, category, ts_ns, None, 0,
                      TRACKS.get(track, 0), args))
+
+    # ------------------------------------------------------------------
+    # Trial chunks
+    # ------------------------------------------------------------------
+    def for_trial(self) -> "FlightRecorder":
+        """The ring a trial records into: this one in the creating
+        process, a fresh one (whose :meth:`tail` ships home) in a
+        forked pool worker, whose copy the parent never sees."""
+        if os.getpid() == self._pid:
+            return self
+        return FlightRecorder(self.capacity)
+
+    def tail(self) -> Dict[str, object]:
+        """The retained events and the recorded count, as plain data."""
+        events = [entry for ring in self._rings.values() for entry in ring]
+        return {"recorded": self.recorded, "events": events}
+
+    def absorb(self, tail: Dict[str, object]) -> None:
+        """Fold a trial's :meth:`tail` in exactly as if its events had
+        been recorded here (sequence numbers offset by our count)."""
+        offset = self.recorded
+        for seq, event in tail["events"]:
+            self._ring(event[6]).append((offset + seq, tuple(event)))
+        self.recorded += tail["recorded"]
 
     # ------------------------------------------------------------------
     # Dumping

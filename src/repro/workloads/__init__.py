@@ -13,6 +13,7 @@ from repro.workloads.base import (
     SyscallBlock,
     MemOp,
     OpKind,
+    Trace,
     BlockCursor,
     Program,
     ListProgram,
@@ -43,6 +44,7 @@ __all__ = [
     "SyscallBlock",
     "MemOp",
     "OpKind",
+    "Trace",
     "BlockCursor",
     "Program",
     "ListProgram",

@@ -7,7 +7,7 @@ core executes:
   event mix and CPI.  Supports partial execution, so the scheduler can
   preempt mid-block.  Used for compute-dominated workloads (LINPACK,
   matrix multiply) where cache state does not need to be simulated.
-* :class:`TraceBlock` — an explicit list of memory operations replayed
+* :class:`TraceBlock` — a :class:`Trace` of memory operations replayed
   through the cache hierarchy.  Cache events (LLC references/misses)
   *emerge* from the access pattern.  Used for the Meltdown and Docker
   case studies.
@@ -24,7 +24,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Union
+from typing import (Callable, Dict, Hashable, Iterable, Iterator, List,
+                    NamedTuple, Optional, Sequence, Union)
+
+import numpy as np
 
 from repro.errors import WorkloadError
 
@@ -38,15 +41,95 @@ class OpKind(enum.Enum):
 
 
 class MemOp(NamedTuple):
-    """One memory operation: a byte address plus operation kind.
-
-    A ``NamedTuple`` rather than a dataclass: traces contain hundreds
-    of thousands of these, and construction cost dominates trace build
-    time otherwise.
-    """
+    """One memory operation: a byte address plus operation kind (the
+    row form of a :class:`Trace`)."""
 
     address: int
     kind: OpKind = OpKind.LOAD
+
+
+#: The ``kinds`` column's codes: ``OP_KINDS[code]`` is the op's kind.
+OP_KINDS = (OpKind.LOAD, OpKind.STORE, OpKind.FLUSH)
+KIND_LOAD, KIND_STORE, KIND_FLUSH = 0, 1, 2
+_KIND_CODES = {kind: code for code, kind in enumerate(OP_KINDS)}
+
+
+class Trace:
+    """An immutable memory trace held as two parallel typed columns.
+
+    ``addresses`` is int64 byte addresses in ``[0, 2**63)``; ``kinds``
+    is int8 codes (:data:`KIND_LOAD`, :data:`KIND_STORE`,
+    :data:`KIND_FLUSH`; all loads when omitted).  Both are read-only
+    copies of the inputs.  Slicing returns a view; indexing and
+    iteration yield :class:`MemOp` rows.  Values derived from the
+    columns — the core's per-geometry replay plans — are memoised on
+    the trace (:meth:`derive`), so they live exactly as long as it does.
+    """
+
+    __slots__ = ("addresses", "kinds", "_derived")
+
+    def __init__(self, addresses, kinds=None) -> None:
+        try:
+            addresses = np.array(addresses, dtype=np.int64)
+            kinds = (np.zeros(addresses.shape, dtype=np.int8)
+                     if kinds is None else np.array(kinds, dtype=np.int8))
+        except OverflowError:
+            raise WorkloadError("trace address or kind out of range") \
+                from None
+        if addresses.ndim != 1 or kinds.shape != addresses.shape:
+            raise WorkloadError("a trace needs one kind per address")
+        if addresses.size and (addresses.min() < 0 or kinds.min() < 0
+                               or kinds.max() > KIND_FLUSH):
+            raise WorkloadError("trace address or kind out of range")
+        addresses.flags.writeable = False
+        kinds.flags.writeable = False
+        self._set(addresses, kinds)
+
+    def _set(self, addresses: np.ndarray, kinds: np.ndarray) -> None:
+        self.addresses = addresses
+        self.kinds = kinds
+        self._derived: Dict[Hashable, object] = {}
+
+    @classmethod
+    def from_ops(cls, ops: Iterable[MemOp]) -> "Trace":
+        """Convert a sequence of :class:`MemOp` (or ``(address, kind)``)."""
+        ops = list(ops)
+        try:
+            kinds = [_KIND_CODES[op[1]] for op in ops]
+        except KeyError as error:
+            raise WorkloadError(f"unknown op kind {error.args[0]!r}") \
+                from None
+        return cls([op[0] for op in ops], kinds)
+
+    def __len__(self) -> int:
+        return len(self.addresses)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            view = Trace.__new__(Trace)
+            view._set(self.addresses[index], self.kinds[index])
+            return view
+        return MemOp(int(self.addresses[index]),
+                     OP_KINDS[self.kinds[index]])
+
+    def __iter__(self) -> Iterator[MemOp]:
+        for address, kind in zip(self.addresses.tolist(),
+                                 self.kinds.tolist()):
+            yield MemOp(address, OP_KINDS[kind])
+
+    def derive(self, key: Hashable,
+               build: Callable[[np.ndarray, np.ndarray, Hashable], object]
+               ) -> object:
+        """``build(addresses, kinds, key)``, computed once per ``key``.
+
+        ``build`` must be a pure function of its arguments: its result
+        is kept on this trace and shared by every later caller.
+        """
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = build(self.addresses, self.kinds,
+                                               key)
+        return value
 
 
 @dataclass
@@ -87,7 +170,8 @@ class TraceBlock:
     """Explicit memory operations replayed through the cache hierarchy.
 
     Attributes:
-        ops: the memory operations, in order.
+        ops: the memory operations, in order, as a :class:`Trace`.  A
+            :class:`MemOp` sequence is converted once, at construction.
         instructions_per_op: non-memory instructions interleaved before
             each op (charged at ``cpi``).
         event_scale: memory instructions folded into each simulated op.
@@ -102,7 +186,7 @@ class TraceBlock:
         label: phase name.
     """
 
-    ops: Sequence[MemOp]
+    ops: Union[Trace, Sequence[MemOp]]
     instructions_per_op: float = 0.0
     event_scale: float = 1.0
     cpi: float = 1.0
@@ -110,6 +194,8 @@ class TraceBlock:
     label: str = ""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.ops, Trace):
+            self.ops = Trace.from_ops(self.ops)
         if self.instructions_per_op < 0:
             raise WorkloadError("instructions_per_op must be non-negative")
         if self.event_scale <= 0:
@@ -252,7 +338,7 @@ class _InstrumentedProgram(Program):
                         budget = inserter.every_instructions
             elif isinstance(block, TraceBlock):
                 per_op = block.instructions_per_op + 1.0
-                ops = list(block.ops)
+                ops = block.ops
                 start = 0
                 while start < len(ops):
                     take_ops = max(1, int(budget / per_op))
@@ -347,9 +433,8 @@ class BlockCursor:
 
 
 def _copy_block(block: Block) -> Block:
-    """Fresh copy so one prototype list can serve many runs."""
+    """Fresh copy so one prototype list can serve many runs (a trace
+    block's immutable :class:`Trace` is shared, with its plans)."""
     if isinstance(block, RateBlock):
         return replace(block, rates=dict(block.rates))
-    if isinstance(block, TraceBlock):
-        return replace(block)
     return replace(block)

@@ -20,11 +20,11 @@ so tests can assert the emergent value lands in the right class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator
 
 import numpy as np
 
-from repro.workloads.base import Block, MemOp, OpKind, Program, RateBlock, TraceBlock
+from repro.workloads.base import Block, Program, RateBlock, Trace, TraceBlock
 
 _LINE = 64
 
@@ -123,9 +123,13 @@ class ContainerWorkload(Program):
         hot_lines = max(1, profile.hot_set_bytes // _LINE)
         hot_base = self.address_base
         stream_base = self.address_base + profile.hot_set_bytes + (1 << 24)
+
+        def stream_lines(first: int, end: int) -> np.ndarray:
+            # The stream is one contiguous line sequence across
+            # iterations, so every reuse window is a range of it.
+            return stream_base + np.arange(first, end, dtype=np.int64) * _LINE
+
         stream_cursor = 0
-        previous_stream: List[int] = []
-        history: List[int] = []
         for iteration in range(self.iterations):
             yield RateBlock(
                 instructions=profile.compute_instructions,
@@ -138,31 +142,23 @@ class ContainerWorkload(Program):
                 cpi=profile.cpi,
                 label=f"service-{iteration}",
             )
-            ops: List[MemOp] = []
             hot_indices = rng.integers(0, hot_lines, size=profile.hot_ops)
-            for index in hot_indices:
-                ops.append(MemOp(hot_base + int(index) * _LINE, OpKind.LOAD))
-            stream_addresses: List[int] = []
-            for _ in range(profile.stream_ops):
-                address = stream_base + stream_cursor * _LINE
-                stream_cursor += 1
-                stream_addresses.append(address)
-                ops.append(MemOp(address, OpKind.LOAD))
-            if previous_stream and profile.reuse_ops:
+            stream_end = stream_cursor + profile.stream_ops
+            parts = [hot_base + hot_indices * _LINE,
+                     stream_lines(stream_cursor, stream_end)]
+            previous_stream = stream_lines(
+                max(0, stream_cursor - profile.stream_ops), stream_cursor)
+            if len(previous_stream) and profile.reuse_ops:
                 step = max(1, len(previous_stream) // profile.reuse_ops)
-                for address in previous_stream[::step][:profile.reuse_ops]:
-                    ops.append(MemOp(address, OpKind.LOAD))
+                parts.append(previous_stream[::step][:profile.reuse_ops])
             if profile.far_reuse_ops and \
-                    len(history) > profile.far_reuse_distance_lines:
-                window_end = len(history) - profile.far_reuse_distance_lines
-                window = history[max(0, window_end - profile.far_reuse_ops):
-                                 window_end]
-                for address in window:
-                    ops.append(MemOp(address, OpKind.LOAD))
-            history.extend(stream_addresses)
-            previous_stream = stream_addresses
+                    stream_cursor > profile.far_reuse_distance_lines:
+                window_end = stream_cursor - profile.far_reuse_distance_lines
+                parts.append(stream_lines(
+                    max(0, window_end - profile.far_reuse_ops), window_end))
+            stream_cursor = stream_end
             yield TraceBlock(
-                ops=ops,
+                ops=Trace(np.concatenate(parts)),
                 instructions_per_op=profile.instructions_per_op,
                 event_scale=profile.event_scale,
                 cpi=profile.cpi,

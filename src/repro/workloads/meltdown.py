@@ -21,9 +21,12 @@ spaced one page apart as in the public PoC (to defeat the prefetcher).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List
 
-from repro.workloads.base import Block, MemOp, OpKind, Program, RateBlock, TraceBlock
+import numpy as np
+
+from repro.workloads.base import (KIND_FLUSH, KIND_LOAD, Block, Program,
+                                  RateBlock, Trace, TraceBlock)
 
 _LINE = 64
 _PAGE = 4096
@@ -48,50 +51,35 @@ _ATTACK_LOGIC_INSTR_PER_CHAR = 1.5e5
 DEFAULT_SECRET = "SqueamishOssifrage!!"
 
 
-# Op lists are pure functions of their address parameters, and trace
-# execution never mutates them (the cursor only advances an index), so
-# they are built once and shared across blocks() iterations and trials.
-# A 20-char secret otherwise rebuilds ~60k MemOps per trial.
+# Traces are pure functions of their parameters and immutable, so each
+# is built once and shared across blocks() iterations and trials — and
+# with it the replay plan the core memoises on the trace.
 @lru_cache(maxsize=None)
-def _victim_scan_ops(stream_base: int, index: int) -> Tuple[MemOp, ...]:
+def _victim_scan_trace(stream_base: int, index: int) -> Trace:
     """Streaming + reuse trace for victim character ``index``."""
-    ops: List[MemOp] = []
-    stream_start = stream_base + index * _VICTIM_STREAM_OPS * _LINE
-    for op_index in range(_VICTIM_STREAM_OPS):
-        ops.append(MemOp(stream_start + op_index * _LINE, OpKind.LOAD))
+    lines = np.arange(_VICTIM_STREAM_OPS, dtype=np.int64) * _LINE
+    addresses = stream_base + index * _VICTIM_STREAM_OPS * _LINE + lines
     if index >= 2:
         reuse_start = stream_base + (index - 2) * _VICTIM_STREAM_OPS * _LINE
-        for op_index in range(_VICTIM_REUSE_OPS):
-            ops.append(MemOp(reuse_start + op_index * _LINE, OpKind.LOAD))
-    return tuple(ops)
-
-
-# The attack block repeats one Flush+Reload round rounds_per_char
-# times.  Memoizing the tiling keeps the *same tuple object* across
-# blocks() iterations and trials, so the core's batch replay planner
-# (keyed on op-tuple identity) compiles each character's trace once
-# per process instead of once per trial.
-@lru_cache(maxsize=None)
-def _tiled_ops(round_ops: Tuple[MemOp, ...],
-               repeats: int) -> Tuple[MemOp, ...]:
-    return round_ops * repeats
+        addresses = np.concatenate(
+            (addresses, reuse_start + lines[:_VICTIM_REUSE_OPS]))
+    return Trace(addresses)
 
 
 @lru_cache(maxsize=None)
-def _flush_reload_ops(probe_base: int, stride: int,
-                      byte_value: int) -> Tuple[MemOp, ...]:
-    """One Flush+Reload round: flush all probes, transient access,
-    reload all probes (one hit — the leaked byte — 255 misses)."""
-    ops: List[MemOp] = []
-    for line in range(_PROBE_LINES):
-        ops.append(MemOp(probe_base + line * stride, OpKind.FLUSH))
+def _flush_reload_trace(probe_base: int, stride: int, byte_value: int,
+                        rounds: int) -> Trace:
+    """``rounds`` Flush+Reload rounds: flush all probes, transient
+    access, reload all probes (one hit — the leaked byte — 255 misses)."""
+    probes = probe_base + np.arange(_PROBE_LINES, dtype=np.int64) * stride
     # Transient out-of-order access: the secret byte indexes the
     # probe array; the architectural exception is suppressed but the
     # cache fill persists — the heart of Meltdown.
-    ops.append(MemOp(probe_base + byte_value * stride, OpKind.LOAD))
-    for line in range(_PROBE_LINES):
-        ops.append(MemOp(probe_base + line * stride, OpKind.LOAD))
-    return tuple(ops)
+    transient = probe_base + byte_value * stride
+    addresses = np.concatenate((probes, [transient], probes))
+    kinds = np.full(len(addresses), KIND_LOAD, dtype=np.int8)
+    kinds[:_PROBE_LINES] = KIND_FLUSH
+    return Trace(np.tile(addresses, rounds), np.tile(kinds, rounds))
 
 
 class SecretPrinter(Program):
@@ -120,7 +108,7 @@ class SecretPrinter(Program):
             cpi=1.0,
             label=f"print-char-{index}",
         )
-        yield TraceBlock(ops=_victim_scan_ops(self.stream_base, index),
+        yield TraceBlock(ops=_victim_scan_trace(self.stream_base, index),
                          instructions_per_op=_VICTIM_TRACE_IPO,
                          label=f"buffer-scan-{index}")
 
@@ -155,10 +143,10 @@ class MeltdownAttack(SecretPrinter):
         """Bytes the side channel has leaked so far (fills in as it runs)."""
         return "".join(self._recovered)
 
-    def _flush_reload_round(self, byte_value: int) -> List[MemOp]:
-        """One Flush+Reload round (see :func:`_flush_reload_ops`)."""
-        return list(_flush_reload_ops(self.probe_base, self.probe_stride,
-                                      byte_value))
+    def _flush_reload_round(self, byte_value: int) -> Trace:
+        """One Flush+Reload round (see :func:`_flush_reload_trace`)."""
+        return _flush_reload_trace(self.probe_base, self.probe_stride,
+                                   byte_value, 1)
 
     def blocks(self) -> Iterator[Block]:
         self._recovered = []
@@ -176,11 +164,8 @@ class MeltdownAttack(SecretPrinter):
                 cpi=1.0,
                 label=f"attack-logic-{index}",
             )
-            round_ops = _flush_reload_ops(self.probe_base, self.probe_stride,
-                                          ord(char) & 0xFF)
-            # Reuse the same op objects each round: the access pattern
-            # repeats exactly, and trace construction cost matters.
-            ops = _tiled_ops(round_ops, self.rounds_per_char)
+            ops = _flush_reload_trace(self.probe_base, self.probe_stride,
+                                      ord(char) & 0xFF, self.rounds_per_char)
             yield TraceBlock(ops=ops, instructions_per_op=_ATTACK_TRACE_IPO,
                              label=f"flush-reload-{index}")
             self._recovered.append(char)

@@ -218,7 +218,6 @@ class TestBatchReplayEquivalence:
         """Guard against the equivalence test going vacuous: with the
         seam's preconditions met, the batch path must be the one that
         runs (at least once for a big-enough trace)."""
-        from repro.hw import core as core_module
         # Tile past the batch floor (64 ops) or the seam won't engage.
         floor_repeats = -(-64 // len(round_spec))
         program = _build_trace(round_spec, max(repeats, floor_repeats),
@@ -232,7 +231,6 @@ class TestBatchReplayEquivalence:
             return original(cursor, block, budget_ns, plan)
 
         core._run_trace_batch = counting
-        assert core_module._np is not None  # numpy ships in the test env
         cursor = BlockCursor(program)
         for budget in budgets:
             if core.execute(cursor, budget).stop is ExecStop.PROGRAM_DONE:

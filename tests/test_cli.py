@@ -202,6 +202,16 @@ class TestLivePlane:
         """--live 0 binds an ephemeral port, announces the URL, serves
         all three endpoints during the run, and the report output
         (minus the announcement) matches a live-off run."""
+        self._check_live_round_trip(capsys, monkeypatch, [])
+
+    def test_live_serves_and_report_is_clean_jobs2(self, capsys,
+                                                   monkeypatch):
+        """The same through a two-worker pool, whatever the host's
+        core count."""
+        self._check_live_round_trip(capsys, monkeypatch, ["--jobs", "2"])
+
+    @staticmethod
+    def _check_live_round_trip(capsys, monkeypatch, extra_args):
         import json
         import urllib.request
 
@@ -220,7 +230,8 @@ class TestLivePlane:
 
         monkeypatch.setattr(live_server.LiveServer, "start",
                             start_and_scrape)
-        assert main(["run", "table1", "--runs", "2", "--live", "0"]) == 0
+        assert main(["run", "table1", "--runs", "2", "--live", "0"]
+                    + extra_args) == 0
         live_out = capsys.readouterr().out
         assert live_out.startswith("live telemetry at http://127.0.0.1:")
         assert "# TYPE live_snapshots_total counter" in scraped["/metrics"]
@@ -228,7 +239,7 @@ class TestLivePlane:
         assert json.loads(scraped["/healthz"])["status"] == "ok"
         assert "run" in json.loads(scraped["/runs"])
 
-        assert main(["run", "table1", "--runs", "2"]) == 0
+        assert main(["run", "table1", "--runs", "2"] + extra_args) == 0
         plain_out = capsys.readouterr().out
         assert live_out.split("\n", 1)[1] == plain_out
 
@@ -244,6 +255,25 @@ class TestLivePlane:
         assert document["format"] == "repro-flight-v1"
         assert document["reason"] == "run-complete"
         assert document["events_recorded"] > 0
+
+    def test_flight_dump_jobs2_equals_jobs1(self, capsys, tmp_path):
+        """Pool workers ship each trial's ring tail home, folded in
+        trial order: the two-worker dump equals the serial one, with
+        enough trials that the controller ring wraps."""
+        import json
+
+        documents = []
+        for jobs in ("1", "2"):
+            flight_path = tmp_path / f"jobs{jobs}.flight.json"
+            assert main(["run", "table1", "--runs", "6", "--jobs", jobs,
+                         "--flight", str(flight_path)]) == 0
+            document = json.loads(flight_path.read_text())
+            document.pop("wall_time_s")
+            documents.append(document)
+        capsys.readouterr()
+        serial, pooled = documents
+        assert serial["events_recorded"] > serial["events_retained"] > 0
+        assert pooled == serial
 
     def test_flight_dump_on_quarantine(self, capsys, tmp_path):
         """A quarantined trial triggers a mid-run flight dump (later

@@ -1,9 +1,13 @@
 """Workload IR: block validation, cursor semantics, instrumentation."""
 
+import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
 from repro.workloads.base import (
+    KIND_FLUSH,
+    KIND_LOAD,
+    KIND_STORE,
     BlockCursor,
     BlockInserter,
     ListProgram,
@@ -11,6 +15,7 @@ from repro.workloads.base import (
     OpKind,
     RateBlock,
     SyscallBlock,
+    Trace,
     TraceBlock,
     scale_rate_block,
     user_probe,
@@ -56,6 +61,99 @@ class TestBlockValidation:
     def test_user_probe_uses_sentinel_name(self):
         block = user_probe(lambda k, t: None)
         assert block.name == USER_PROBE
+
+
+class TestTrace:
+    OPS = [MemOp(0x40, OpKind.LOAD), MemOp(0x80, OpKind.STORE),
+           MemOp(0x40, OpKind.FLUSH), MemOp(0xC0, OpKind.LOAD)]
+
+    def test_memop_round_trip(self):
+        trace = Trace.from_ops(self.OPS)
+        assert trace.addresses.dtype == np.int64
+        assert trace.kinds.dtype == np.int8
+        assert trace.addresses.tolist() == [0x40, 0x80, 0x40, 0xC0]
+        assert trace.kinds.tolist() == [KIND_LOAD, KIND_STORE, KIND_FLUSH,
+                                        KIND_LOAD]
+        assert list(trace) == self.OPS
+        assert trace[2] == MemOp(0x40, OpKind.FLUSH)
+
+    def test_trace_block_converts_op_list_once(self):
+        block = TraceBlock(ops=self.OPS)
+        assert isinstance(block.ops, Trace)
+        assert list(block.ops) == self.OPS
+        assert TraceBlock(ops=block.ops).ops is block.ops
+
+    def test_kinds_default_to_loads(self):
+        trace = Trace(np.arange(3) * 64)
+        assert list(trace) == [MemOp(0), MemOp(64), MemOp(128)]
+
+    def test_slice_is_a_view(self):
+        trace = Trace(np.arange(10) * 64, np.full(10, KIND_STORE))
+        view = trace[2:7]
+        assert isinstance(view, Trace)
+        assert len(view) == 5
+        assert view.addresses.base is not None
+        assert np.shares_memory(view.addresses, trace.addresses)
+        assert np.shares_memory(view.kinds, trace.kinds)
+        assert view.addresses.tolist() == [128, 192, 256, 320, 384]
+        assert list(trace[::4]) == [MemOp(0, OpKind.STORE),
+                                    MemOp(256, OpKind.STORE),
+                                    MemOp(512, OpKind.STORE)]
+
+    def test_columns_are_read_only_copies(self):
+        source = np.arange(4) * 64
+        trace = Trace(source)
+        source[0] = 999
+        assert trace.addresses[0] == 0
+        with pytest.raises(ValueError):
+            trace.addresses[0] = 1
+        with pytest.raises(ValueError):
+            trace[1:].kinds[0] = KIND_FLUSH
+
+    @pytest.mark.parametrize("addresses", [
+        [-1], [0, 2 ** 63], [2 ** 64],
+        np.array([2 ** 63], dtype=np.uint64),
+    ])
+    def test_out_of_range_address_raises(self, addresses):
+        with pytest.raises(WorkloadError):
+            Trace(addresses)
+
+    def test_out_of_range_memop_raises(self):
+        with pytest.raises(WorkloadError):
+            TraceBlock(ops=[MemOp(0), MemOp(2 ** 63)])
+        with pytest.raises(WorkloadError):
+            TraceBlock(ops=[MemOp(-64)])
+
+    def test_largest_address_accepted(self):
+        trace = Trace([2 ** 63 - 1])
+        assert trace[0].address == 2 ** 63 - 1
+
+    @pytest.mark.parametrize("kinds", [[3], [-1], [300]])
+    def test_unknown_kind_code_raises(self, kinds):
+        with pytest.raises(WorkloadError):
+            Trace([0], kinds)
+
+    def test_unknown_op_kind_raises(self):
+        with pytest.raises(WorkloadError):
+            Trace.from_ops([(0, "load")])
+
+    def test_mismatched_columns_raise(self):
+        with pytest.raises(WorkloadError):
+            Trace([0, 64], [KIND_LOAD])
+
+    def test_derive_memoises_per_key(self):
+        trace = Trace([0, 64])
+        calls = []
+
+        def build(addresses, kinds, key):
+            calls.append(key)
+            return int(addresses.sum()) + key
+
+        assert trace.derive(1, build) == 65
+        assert trace.derive(1, build) == 65
+        assert trace.derive(2, build) == 66
+        assert calls == [1, 2]
+        assert trace[:1].derive(1, build) == 1  # a view derives afresh
 
 
 class TestListProgram:
