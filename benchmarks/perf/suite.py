@@ -110,7 +110,7 @@ def bench_pmu_epoch_accumulate(iters: int) -> Dict[str, float]:
     """``Pmu.accumulate_epoch`` — the batch replay path's fused delivery.
 
     Same programming as ``bench_pmu_accumulate``, but each slice lands
-    as one name-tuple/value-row call (the shape ``_run_trace_batch``
+    as one name-tuple/value-row call (the shape ``Core._run_trace``
     produces), so the compiled apply-list fast path is what's measured.
     """
     pmu = Pmu()

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro.analysis.metrics import report_mpki
 from repro.experiments import report
 from repro.experiments.runner import run_trials
@@ -27,14 +25,15 @@ EVENTS = ("LLC_REFERENCES", "LLC_MISSES", "LOADS", "STORES")
 
 @dataclass
 class Fig6Result:
-    """Round-averaged counts for the clean and attacked programs."""
+    """Round-averaged counts for the clean and attacked programs (None
+    where every round of that program was quarantined)."""
 
-    clean_means: Dict[str, float]
-    attack_means: Dict[str, float]
-    clean_mpki: float
-    attack_mpki: float
-    clean_samples_mean: float
-    attack_samples_mean: float
+    clean_means: Dict[str, Optional[float]]
+    attack_means: Dict[str, Optional[float]]
+    clean_mpki: Optional[float]
+    attack_mpki: Optional[float]
+    clean_samples_mean: Optional[float]
+    attack_samples_mean: Optional[float]
     rounds: int
     period_ns: int
 
@@ -57,15 +56,15 @@ def run(rounds: int = 20, period_ns: int = us(100), seed: int = 0,
         )
         totals = [result.report.totals for result in results]
         means = {
-            event: float(np.mean([t[event] for t in totals]))
+            event: report.mean_or_none([t[event] for t in totals])
             for event in list(EVENTS) + ["INST_RETIRED"]
         }
         populations[key] = {
             "means": means,
-            "mpki": float(np.mean([report_mpki(t) for t in totals])),
-            "samples": float(np.mean([
+            "mpki": report.mean_or_none([report_mpki(t) for t in totals]),
+            "samples": report.mean_or_none([
                 result.report.sample_count for result in results
-            ])),
+            ]),
         }
     return Fig6Result(
         clean_means=populations["clean"]["means"],
@@ -79,26 +78,33 @@ def run(rounds: int = 20, period_ns: int = us(100), seed: int = 0,
     )
 
 
+def _ratio(clean: Optional[float], attack: Optional[float]) -> str:
+    if clean is None or attack is None:
+        return "-"
+    return f"{attack / clean if clean else float('inf'):.1f}x"
+
+
 def render(result: Fig6Result) -> str:
     rows = []
     for event in ("LLC_REFERENCES", "LLC_MISSES", "LOADS", "STORES"):
         clean = result.clean_means[event]
         attack = result.attack_means[event]
-        factor = attack / clean if clean else float("inf")
         rows.append([
             event,
-            report.format_count(clean),
-            report.format_count(attack),
-            f"{factor:.1f}x",
+            report.format_cell(clean, ",.0f"),
+            report.format_cell(attack, ",.0f"),
+            _ratio(clean, attack),
         ])
     rows.append([
-        "MPKI", f"{result.clean_mpki:.2f}", f"{result.attack_mpki:.2f}",
-        f"{result.attack_mpki / result.clean_mpki:.1f}x",
+        "MPKI",
+        report.format_cell(result.clean_mpki, ".2f"),
+        report.format_cell(result.attack_mpki, ".2f"),
+        _ratio(result.clean_mpki, result.attack_mpki),
     ])
     rows.append([
         "samples @100us",
-        f"{result.clean_samples_mean:.0f}",
-        f"{result.attack_samples_mean:.0f}",
+        report.format_cell(result.clean_samples_mean, ".0f"),
+        report.format_cell(result.attack_samples_mean, ".0f"),
         "-",
     ])
     table = report.text_table(

@@ -64,6 +64,21 @@ def sparkline(values: Sequence[float], width: int = 72) -> str:
     return "".join(_SPARK_LEVELS[index] for index in indices)
 
 
+# Cell text for a statistic whose every trial was quarantined: an
+# explicit marker instead of the NaN an empty mean would render.
+QUARANTINED = "n=0 (quarantined)"
+
+
+def mean_or_none(values: Sequence[float]) -> Optional[float]:
+    """Mean of ``values``, or None when no trial survived."""
+    return float(np.mean(values)) if len(values) else None
+
+
+def format_cell(value: Optional[float], spec: str) -> str:
+    """``value`` formatted by ``spec``, or :data:`QUARANTINED` for None."""
+    return QUARANTINED if value is None else format(value, spec)
+
+
 def format_count(value: float) -> str:
     """Human-readable count with thousands separators."""
     return f"{value:,.0f}"

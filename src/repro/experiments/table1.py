@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.experiments import report
 from repro.experiments.runner import run_trials
 from repro.faults import FaultPlan, RunLedger
@@ -31,10 +29,11 @@ EVENTS = ("ARITH_MUL", "LOADS", "STORES")
 
 @dataclass
 class Table1Result:
-    """GFLOPS and performance loss per tool."""
+    """GFLOPS and performance loss per tool (None where every trial of
+    the tool, or of the baseline, was quarantined)."""
 
-    gflops: Dict[str, float]
-    loss_percent: Dict[str, float]
+    gflops: Dict[str, Optional[float]]
+    loss_percent: Dict[str, Optional[float]]
     trials: int
     problem_size: int
     period_ns: int
@@ -48,7 +47,7 @@ def run(trials: int = 10, problem_size: int = 5000,
         fault_ledger: Optional[RunLedger] = None) -> Table1Result:
     """Reproduce Table I."""
     program = LinpackWorkload(problem_size)
-    gflops: Dict[str, float] = {}
+    gflops: Dict[str, Optional[float]] = {}
     for name in TOOLS:
         results = run_trials(
             program, create_tool(name), runs=trials, events=EVENTS,
@@ -56,12 +55,13 @@ def run(trials: int = 10, problem_size: int = 5000,
             machine_config=machine_config, jobs=jobs,
             faults=faults, fault_ledger=fault_ledger,
         )
-        gflops[name] = float(np.mean([
+        gflops[name] = report.mean_or_none([
             measured_gflops(result) for result in results
-        ]))
+        ])
     baseline = gflops["none"]
     loss = {
-        name: 100.0 * (baseline - value) / baseline
+        name: (None if value is None or baseline is None
+               else 100.0 * (baseline - value) / baseline)
         for name, value in gflops.items()
     }
     return Table1Result(
@@ -77,9 +77,11 @@ def render(result: Table1Result) -> str:
     """Paper-style rows: GFLOPS and performance loss per tool."""
     headers = ["Profiling Tools"] + [_label(name) for name in TOOLS]
     rows: List[List[str]] = [
-        ["GFlops"] + [f"{result.gflops[name]:.2f}" for name in TOOLS],
+        ["GFlops"] + [report.format_cell(result.gflops[name], ".2f")
+                      for name in TOOLS],
         ["Performance Loss (%)"] + [
-            f"{result.loss_percent[name]:.2f}" for name in TOOLS
+            report.format_cell(result.loss_percent[name], ".2f")
+            for name in TOOLS
         ],
     ]
     return report.text_table(

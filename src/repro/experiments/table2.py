@@ -16,9 +16,7 @@ LiMiT        4.08 %
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
-
-import numpy as np
+from typing import Dict, List, Optional
 
 from repro.analysis.overhead import (
     OverheadStats,
@@ -50,13 +48,17 @@ class OverheadTableResult:
     period_ns: int
 
     @property
-    def kleb_vs_next_best_percent(self) -> float:
-        """K-LEB's relative overhead reduction vs the next-best tool."""
+    def kleb_vs_next_best_percent(self) -> Optional[float]:
+        """K-LEB's relative overhead reduction vs the next-best tool
+        (None when quarantine left K-LEB or every other tool without
+        an overhead)."""
         others = [
             stat.overhead_mean_percent
             for name, stat in self.stats.items()
             if name not in ("none", "k-leb")
         ]
+        if "k-leb" not in self.stats or not others:
+            return None
         return relative_reduction_percent(
             self.stats["k-leb"].overhead_mean_percent, min(others)
         )
@@ -77,31 +79,49 @@ def run(runs: int = 30, n: int = 1024, period_ns: int = ms(10),
         machine_config=machine_config, jobs=jobs,
         faults=faults, fault_ledger=fault_ledger,
     )
-    baseline = runs_data["none"].wall_ns
-    stats: Dict[str, OverheadStats] = {}
-    for name, record in runs_data.items():
-        if record.supported and name != "none":
-            stats[name] = summarize_overhead(name, record.wall_ns, baseline)
     return OverheadTableResult(
         title=f"Table II — triple-loop matmul n={n}",
-        stats=stats,
+        stats=summarize_tools(runs_data),
         runs_data=runs_data,
         runs=runs,
         period_ns=period_ns,
     )
 
 
+def summarize_tools(runs_data: Dict[str, ToolRuns]
+                    ) -> Dict[str, OverheadStats]:
+    """Overhead of every supported tool against the ``none`` baseline.
+
+    A tool is left out when quarantine emptied its population or the
+    baseline's: an overhead needs at least one run on each side.
+    """
+    baseline = runs_data["none"].wall_ns
+    return {
+        name: summarize_overhead(name, record.wall_ns, baseline)
+        for name, record in runs_data.items()
+        if name != "none" and record.wall_ns and baseline
+    }
+
+
+def _runtime_cell(wall_ns: List[float]) -> str:
+    mean = report.mean_or_none(wall_ns)
+    return report.format_cell(None if mean is None else mean / 1e9, ".4f")
+
+
 def render(result: OverheadTableResult) -> str:
-    rows = []
-    baseline_mean = float(np.mean(result.runs_data["none"].wall_ns))
-    rows.append(["no profiling", f"{baseline_mean / 1e9:.4f}", "-", "-"])
+    rows = [["no profiling", _runtime_cell(result.runs_data["none"].wall_ns),
+             "-", "-"]]
     for name, record in result.runs_data.items():
         if name == "none":
             continue
         if not record.supported:
             rows.append([name, "n/a", "n/a", record.unsupported_reason or ""])
             continue
-        stat = result.stats[name]
+        stat = result.stats.get(name)
+        if stat is None:
+            rows.append([name, _runtime_cell(record.wall_ns),
+                         report.QUARANTINED, "-"])
+            continue
         rows.append([
             name,
             f"{stat.monitored_mean_ns / 1e9:.4f}",
@@ -115,6 +135,7 @@ def render(result: OverheadTableResult) -> str:
               f"{result.period_ns // 1_000_000} ms rate)",
     )
     reduction = result.kleb_vs_next_best_percent
-    return (f"{table}\n\nK-LEB vs next-best tool: "
-            f"{reduction:.1f}% relative overhead reduction "
+    summary = (report.QUARANTINED if reduction is None
+               else f"{reduction:.1f}% relative overhead reduction")
+    return (f"{table}\n\nK-LEB vs next-best tool: {summary} "
             f"(paper: 58.8%)")

@@ -17,9 +17,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.analysis.overhead import OverheadStats, summarize_overhead
 from repro.experiments.overhead_common import OVERHEAD_EVENTS, collect_tool_runs
-from repro.experiments.table2 import OverheadTableResult, render as _render
+from repro.experiments.table2 import (
+    OverheadTableResult,
+    render as _render,
+    summarize_tools,
+)
 from repro.faults import FaultPlan, RunLedger
 from repro.hw.machine import MachineConfig
 from repro.sim.clock import ms
@@ -43,14 +46,9 @@ def run(runs: int = 30, n: int = 1180, period_ns: int = ms(10),
         machine_config=machine_config, jobs=jobs,
         faults=faults, fault_ledger=fault_ledger,
     )
-    baseline = runs_data["none"].wall_ns
-    stats = {}
-    for name, record in runs_data.items():
-        if record.supported and name != "none":
-            stats[name] = summarize_overhead(name, record.wall_ns, baseline)
     return OverheadTableResult(
         title=f"Table III — MKL dgemm n={n}",
-        stats=stats,
+        stats=summarize_tools(runs_data),
         runs_data=runs_data,
         runs=runs,
         period_ns=period_ns,

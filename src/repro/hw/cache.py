@@ -178,7 +178,6 @@ class CacheHierarchy:
              level._sets, level.config.ways, level.config.name)
             for level in self.levels
         )
-        self._num_levels = len(self.levels)
 
     def _prefetch(self, address: int) -> None:
         """Fill ``address``'s line into every level (no latency charged
@@ -236,53 +235,6 @@ class CacheHierarchy:
         if name is None and self.prefetch_next_line:
             self._prefetch(address + self._line_bytes)
         return AccessResult(hit_level=name, latency_cycles=latency, events=events)
-
-    def access_fast(self, address: int) -> int:
-        """Hot-path lookup: returns the hit level index (0-based) or
-        ``len(levels)`` for a memory access.
-
-        Semantically identical to :meth:`access` (LRU updates, fills,
-        per-level hit/miss counters) but allocates nothing; callers
-        accumulate event counts themselves.  Used by the core's trace
-        executor where per-access object construction dominates.
-        """
-        stats = self.stats
-        stats.accesses += 1
-        descriptors = self._descriptors
-        num_levels = self._num_levels
-        hit_index = num_levels
-        index = 0
-        for level, line_shift, set_mask, tag_shift, sets, _ways, _name in \
-                descriptors:
-            line = address >> line_shift
-            entries = sets[line & set_mask]
-            tag = line >> tag_shift
-            if tag in entries:
-                entries.move_to_end(tag)
-                level.hits += 1
-                hit_index = index
-                break
-            level.misses += 1
-            index += 1
-        misses = stats.misses
-        if hit_index < num_levels:
-            stats.hits[descriptors[hit_index][6]] += 1
-        else:
-            misses["memory"] += 1
-        for _level, line_shift, set_mask, tag_shift, sets, ways, name in \
-                descriptors[:hit_index]:
-            line = address >> line_shift
-            entries = sets[line & set_mask]
-            # The tag missed this level above, so the containment check
-            # in CacheLevel.fill is settled: evict straight away if the
-            # set is full, and a fresh insert is already MRU.
-            if len(entries) >= ways:
-                entries.popitem(last=False)
-            entries[line >> tag_shift] = True
-            misses[name] += 1
-        if hit_index == num_levels and self.prefetch_next_line:
-            self._prefetch(address + self._line_bytes)
-        return hit_index
 
     def clflush(self, address: int) -> None:
         """Flush one line from every level (the Flush+Reload primitive)."""

@@ -41,30 +41,25 @@ from repro.workloads.base import (
 _FLUSH_LATENCY_CYCLES = 40
 _EPSILON_NS = 1e-6
 
-# Epoch-accumulation column order.  Matches the insertion order of the
-# per-slice events dict the scalar replay paths build, so the PMU
-# applies contributions in the same sequence either way (each counter
-# counts exactly one event, so the order is load-bearing only for
-# keeping the two paths obviously symmetric).
+# Column order of the per-slice epoch accumulation: retirement and
+# time, the memory-instruction mix, then the cache events from L1 out.
+# Each counter counts exactly one event, so the order only fixes the
+# layout of the PMU's compiled apply list.
 _EPOCH_EVENTS = (
     "INST_RETIRED", "CORE_CYCLES", "REF_CYCLES",
     "LOADS", "STORES", "CACHE_FLUSHES",
     "L1D_MISSES", "L2_MISSES", "LLC_REFERENCES", "LLC_MISSES",
 )
 
-# Traces shorter than this replay faster through the scalar loop than
-# through a plan lookup; the batch planner only kicks in above it.
-_BATCH_MIN_OPS = 64
-
 
 class _TracePlan(NamedTuple):
-    """Precompiled replay plan for one (trace, cache geometry) pair.
+    """Precompiled replay plan for one trace under one cache geometry.
 
-    Holds only integers derived from op addresses and the level
-    shift/mask geometry — never references into a live hierarchy — so
-    one plan serves every cache instance with the same geometry (each
-    trial builds a fresh hierarchy).  Columns are Python lists: replay
-    indexes them one op at a time.
+    Holds only integers derived from op addresses, the level
+    shift/mask geometry and the prefetch flag — never references into a
+    live hierarchy — so one plan serves every cache instance with the
+    same geometry (each trial builds a fresh hierarchy).  Columns are
+    Python lists: replay indexes them one op at a time.
     """
 
     kindcat: list    # per op: 0 probe, 1 MRU repeat, 2 flush, 3 sure miss
@@ -81,13 +76,17 @@ class _TracePlan(NamedTuple):
 
 
 def _trace_plan(addresses: np.ndarray, kinds: np.ndarray,
-                geometry: tuple) -> _TracePlan:
-    """Compile the batch replay plan for one trace.
+                key: tuple) -> _TracePlan:
+    """Compile the replay plan for one trace.
 
-    A pure function of the trace's address and kind columns and the
-    hierarchy's ``(line shift, set mask, tag shift)`` per level.
+    A pure function of the trace's address and kind columns and
+    ``key``: the hierarchy's ``(line shift, set mask, tag shift)`` per
+    level followed by its next-line prefetch flag.  With the prefetcher
+    on, the plan emits no MRU and no guaranteed-miss ops: a prefetch
+    fill can install the line the guard proved absent (and, in a
+    degenerate geometry, evict the MRU line), so every access probes.
     """
-    s1, m1, t1, s2, m2, t2, s3, m3, t3 = geometry
+    s1, m1, t1, s2, m2, t2, s3, m3, t3, prefetch = key
     n = len(addresses)
     line1 = addresses >> s1
     line2 = addresses >> s2
@@ -98,9 +97,9 @@ def _trace_plan(addresses: np.ndarray, kinds: np.ndarray,
     # MRU mask: an access whose predecessor is an access to the same L1
     # line is a guaranteed hit (the line is most-recently-used and the
     # shortcut mutates nothing).  The first op of each execution slice
-    # is forced down the probe path at replay time, mirroring the
-    # scalar loop's per-slice ``last_line = -1`` reset.
-    if n > 1:
+    # is forced down the probe path at replay time, because another
+    # program may have touched the line between slices.
+    if n > 1 and not prefetch:
         mru = accesses[1:] & accesses[:-1] & (line1[1:] == line1[:-1])
         kindcat[1:][mru] = 1
 
@@ -115,7 +114,7 @@ def _trace_plan(addresses: np.ndarray, kinds: np.ndarray,
     # means the same bytes at every level.  An MRU op's predecessor is
     # a same-line access, so no MRU op is ever guarded.
     guard = np.full(n, -1, dtype=np.int64)
-    if s1 == s2 == s3 and n > 1:
+    if s1 == s2 == s3 and n > 1 and not prefetch:
         # A stable sort by line puts each op right after its most
         # recent same-line predecessor.
         order = np.argsort(line1, kind="stable")
@@ -161,16 +160,10 @@ def _trace_plan(addresses: np.ndarray, kinds: np.ndarray,
     )
 
 
-def _trace_rows(addresses: np.ndarray, kinds: np.ndarray,
-                _key: object) -> tuple:
-    """The trace's columns as Python lists, for the per-op scalar loops."""
-    return addresses.tolist(), kinds.tolist()
-
-
-def _commit_stats3(cache: CacheHierarchy, n_flush: int, n_access: int,
-                   l1h: int, l1m: int, l2h: int, l2m: int, l3h: int,
-                   l3m: int) -> None:
-    """Add one 3-level replay slice's counts to the cache statistics."""
+def _commit_stats(cache: CacheHierarchy, n_flush: int, n_access: int,
+                  l1h: int, l1m: int, l2h: int, l2m: int, l3h: int,
+                  l3m: int) -> None:
+    """Add one replay slice's counts to the cache statistics."""
     stats = cache.stats
     stats.flushes += n_flush
     if n_access:
@@ -210,6 +203,12 @@ class Core:
                  tsc_ratio: float = 1.0) -> None:
         if frequency_hz <= 0:
             raise SimulationError("core frequency must be positive")
+        if len(cache.levels) != 3:
+            # The trace executor is unrolled over L1D/L2/LLC: a per-level
+            # loop costs the miss path, which is the hot path.
+            raise SimulationError(
+                f"the core needs a 3-level cache hierarchy (L1D, L2, LLC), "
+                f"got {len(cache.levels)} level(s)")
         self.frequency_hz = frequency_hz
         self.pmu = pmu
         self.cache = cache
@@ -282,75 +281,49 @@ class Core:
 
     def _run_trace(self, cursor: BlockCursor, block: TraceBlock,
                    budget_ns: float) -> tuple:
-        cache = self.cache
-        if cache._num_levels == 3 and not cache.prefetch_next_line:
-            if len(block.ops) >= _BATCH_MIN_OPS:
-                # The batch path accumulates cycles/instructions in
-                # Python ints, which reproduces the scalar float sums
-                # bit-for-bit only when every per-op increment is
-                # integral (sums of integers below 2^53 are exact and
-                # order-independent).  Fractional increments — and
-                # fractional latencies — take the scalar reference.
-                event_scale = float(block.event_scale)
-                folded = float(block.instructions_per_op
-                               + block.event_scale - 1.0)
-                folded_cycles = folded * block.cpi
-                if (event_scale.is_integer() and folded.is_integer()
-                        and folded_cycles.is_integer()
-                        and self._integer_latencies()):
-                    d1, d2, d3 = cache._descriptors
-                    geometry = (d1[1], d1[2], d1[3], d2[1], d2[2], d2[3],
-                                d3[1], d3[2], d3[3])
-                    plan = block.ops.derive(geometry, _trace_plan)
-                    return self._run_trace_batch(
-                        cursor, block, budget_ns, plan)
-            return self._run_trace3(cursor, block, budget_ns)
-        return self._run_trace_generic(cursor, block, budget_ns)
-
-    def _integer_latencies(self) -> bool:
-        d1, d2, d3 = self.cache._descriptors
-        return (type(d1[0].config.hit_latency_cycles) is int
-                and type(d2[0].config.hit_latency_cycles) is int
-                and type(d3[0].config.hit_latency_cycles) is int
-                and type(self.cache.memory_latency_cycles) is int)
-
-    def _run_trace_batch(self, cursor: BlockCursor, block: TraceBlock,
-                         budget_ns: float, plan: _TracePlan) -> tuple:
-        """Segment-batched trace replay (the columnar core's hot path).
+        """Segment-batched trace replay, the core's one trace executor.
 
         Replays the slice as precompiled *segments* instead of ops:
         maximal same-line (MRU) runs retire in O(1) with an exact
         closed-form budget cut, guaranteed-miss runs skip their
         membership probes, and flush and probe ops read their set
         indices and tags from the plan's precomputed columns instead
-        of re-deriving them from the address.  All
-        statistics accumulate in flat integers flushed once per slice,
-        and the PMU receives one epoch-accumulation call.  Bit-identical
-        to :meth:`_run_trace3` under the seam's integrality guard: every
-        cache mutation happens with the same semantics (MRU shortcuts
-        mutate nothing), and all counter sums are exact integer
-        arithmetic below 2^53.
+        of re-deriving them from the address.  Statistics accumulate
+        in flat locals flushed once per slice, and the PMU receives one
+        epoch-accumulation call.
+
+        The semantic definition is a per-op walk over
+        :meth:`CacheHierarchy.access` / :meth:`CacheHierarchy.clflush`
+        that charges ``folded_cycles + latency`` per op and checks
+        ``cycles < budget`` before each one.  Every cache mutation here
+        happens with the same semantics as that walk (MRU shortcuts
+        mutate nothing; a probe that misses a level fills it at once,
+        which the walk does after probing — levels are separate sets,
+        so the order is unobservable).  Costs accumulate as floats: run
+        segments charge ``n * cost`` where the walk adds ``cost`` n
+        times, which agree exactly whenever the costs are integral
+        (sums of integers below 2**53 are exact).
         """
         budget_cycles = self.ns_to_cycles(budget_ns)
-        event_scale = int(block.event_scale)
+        event_scale = float(block.event_scale)
         # Per-op retired instructions: flush and access ops both retire
         # instructions_per_op + event_scale (the flush itself or the
         # probing access plus the folded line-local accesses).
-        op_instructions = int(block.instructions_per_op + block.event_scale)
-        folded_cycles = int((block.instructions_per_op
-                             + block.event_scale - 1.0) * block.cpi)
+        op_instructions = float(block.instructions_per_op + block.event_scale)
+        folded_cycles = (op_instructions - 1.0) * block.cpi
         cache = self.cache
+        prefetch = cache.prefetch_next_line
         d1, d2, d3 = cache._descriptors
-        level1, _s1, _m1, _t1, sets1, w1, _n1 = d1
-        level2, _s2, _m2, _t2, sets2, w2, _n2 = d2
-        level3, _s3, _m3, _t3, sets3, w3, _n3 = d3
-        lat1 = level1.config.hit_latency_cycles
-        lat2 = level2.config.hit_latency_cycles
-        lat3 = level3.config.hit_latency_cycles
-        lat_mem = cache.memory_latency_cycles
-        cost_mru = folded_cycles + lat1
+        level1, s1, m1, t1, sets1, w1, _n1 = d1
+        level2, s2, m2, t2, sets2, w2, _n2 = d2
+        level3, s3, m3, t3, sets3, w3, _n3 = d3
+        plan = block.ops.derive((s1, m1, t1, s2, m2, t2, s3, m3, t3, prefetch),
+                                _trace_plan)
+        cost_mru = folded_cycles + level1.config.hit_latency_cycles
+        cost_l2 = folded_cycles + level2.config.hit_latency_cycles
+        cost_l3 = folded_cycles + level3.config.hit_latency_cycles
+        cost_miss = folded_cycles + cache.memory_latency_cycles
         cost_flush = folded_cycles + _FLUSH_LATENCY_CYCLES
-        cost_miss = folded_cycles + lat_mem
 
         kindcat = plan.kindcat
         seg_end = plan.seg_end
@@ -359,7 +332,7 @@ class Core:
         se2, tg2 = plan.se2, plan.tg2
         se3, tg3 = plan.se3, plan.tg3
 
-        cycles = 0
+        cycles = 0.0
         l1h = l1m = l2h = l2m = l3h = l3m = 0
         start = cursor.op_index
         p = start
@@ -368,9 +341,9 @@ class Core:
             cat = kindcat[p]
             if cat == 1 and p == start:
                 # Resuming mid-run: the predecessor ran in an earlier
-                # slice, so probe exactly as the scalar loop (which
-                # resets last_line per slice) would.  The line is still
-                # MRU, so the probe's move_to_end is order-neutral.
+                # slice and another program may have touched the line
+                # since, so probe.  If the line is still MRU the probe's
+                # move_to_end is order-neutral.
                 cat = 0
             elif cat == 3:
                 # Only ops whose covering flush executed inside *this*
@@ -395,41 +368,46 @@ class Core:
                         cycles += cost_mru
                     else:
                         l1m += 1
+                        if len(entries1) >= w1:
+                            entries1.popitem(last=False)
+                        entries1[tag1] = True
                         tag2 = tg2[p]
                         entries2 = sets2[se2[p]]
                         if tag2 in entries2:
                             entries2.move_to_end(tag2)
                             l2h += 1
-                            cycles += folded_cycles + lat2
+                            cycles += cost_l2
                         else:
                             l2m += 1
+                            if len(entries2) >= w2:
+                                entries2.popitem(last=False)
+                            entries2[tag2] = True
                             tag3 = tg3[p]
                             entries3 = sets3[se3[p]]
                             if tag3 in entries3:
                                 entries3.move_to_end(tag3)
                                 l3h += 1
-                                cycles += folded_cycles + lat3
+                                cycles += cost_l3
                             else:
                                 l3m += 1
-                                cycles += folded_cycles + lat_mem
+                                cycles += cost_miss
                                 if len(entries3) >= w3:
                                     entries3.popitem(last=False)
                                 entries3[tag3] = True
-                            if len(entries2) >= w2:
-                                entries2.popitem(last=False)
-                            entries2[tag2] = True
-                        if len(entries1) >= w1:
-                            entries1.popitem(last=False)
-                        entries1[tag1] = True
+                                if prefetch:
+                                    # After the demand fills, as in
+                                    # CacheHierarchy.access.
+                                    cache._prefetch(int(block.ops.addresses[p])
+                                                    + cache._line_bytes)
                     p += 1
                     if p >= e or cycles >= budget_cycles:
                         break
                 continue
             # Run segment (MRU, flush or guaranteed miss): take as many
-            # ops as the budget admits.  The scalar loop checks
+            # ops as the budget admits.  The per-op walk checks
             # ``cycles < budget`` *before* each op, so op k of the run
-            # executes iff cycles + k*cost is under budget; the float
-            # estimate is corrected to that exact integer condition.
+            # executes iff cycles + k*cost is under budget; the floor
+            # estimate is corrected to exactly that condition.
             length = seg_end[p] - p
             cost = (cost_mru if cat == 1
                     else cost_flush if cat == 2 else cost_miss)
@@ -455,9 +433,10 @@ class Core:
                     sets3[si3].pop(ti3, None)
             else:
                 # Guaranteed-miss run: every op misses L1/L2/L3 and
-                # fills inward from memory, so the membership probes
-                # are skipped and only the scalar path's mutations
-                # (evict-if-full + insert per level) are applied.
+                # fills every level, so the membership probes are
+                # skipped and only the fills (evict-if-full + insert
+                # per level) are applied.  The plan emits no such run
+                # with the prefetcher on, so no prefetch is owed here.
                 for si3, ti3, si2, ti2, si1, ti1 in zip(
                         se3[p:stop], tg3[p:stop], se2[p:stop], tg2[p:stop],
                         se1[p:stop], tg1[p:stop]):
@@ -487,263 +466,13 @@ class Core:
         n_flush = pre_flush[p] - pre_flush[start]
         n_access = ops_done - n_flush
         n_store = pre_store[p] - pre_store[start]
-        stores = n_store * event_scale
-        loads = (n_access - n_store) * event_scale
         instructions = ops_done * op_instructions
-        _commit_stats3(cache, n_flush, n_access, l1h, l1m, l2h, l2m, l3h, l3m)
+        _commit_stats(cache, n_flush, n_access, l1h, l1m, l2h, l2m, l3h, l3m)
         self.pmu.accumulate_epoch(
             _EPOCH_EVENTS,
-            (float(instructions), float(cycles), cycles * self.tsc_ratio,
-             float(loads), float(stores), float(n_flush),
-             float(l1m), float(l2m), float(l2m), float(l3m)),
+            (instructions, cycles, cycles * self.tsc_ratio,
+             (n_access - n_store) * event_scale, n_store * event_scale,
+             float(n_flush), float(l1m), float(l2m), float(l2m), float(l3m)),
             block.privilege)
         cursor.consume_ops(ops_done)
-        return self.cycles_to_ns(cycles), float(instructions)
-
-    def _run_trace3(self, cursor: BlockCursor, block: TraceBlock,
-                    budget_ns: float) -> tuple:
-        """Trace replay specialized for the standard 3-level hierarchy.
-
-        The generic path pays a function call plus descriptor iteration
-        per memory operation; this version unpacks the entire hierarchy
-        geometry into locals once per slice and replays the ops in one
-        straight-line loop, accumulating every statistic in local ints
-        that are flushed to the cache/stats objects when the slice ends.
-        Bit-identical to :meth:`_run_trace_generic`: the cache state
-        mutations happen in the same order with the same semantics, and
-        the counter flushes are exact integer/float sums.  Hierarchies
-        with the next-line prefetcher enabled (or a non-standard level
-        count) take the generic path instead.
-        """
-        budget_cycles = self.ns_to_cycles(budget_ns)
-        folded_instructions = block.instructions_per_op + block.event_scale - 1.0
-        folded_cycles = folded_instructions * block.cpi
-        event_scale = block.event_scale
-        op_instructions = block.instructions_per_op + event_scale
-        flush_instructions = folded_instructions + 1.0
-        cache = self.cache
-        d1, d2, d3 = cache._descriptors
-        level1, s1, m1, t1, sets1, w1, _n1 = d1
-        level2, s2, m2, t2, sets2, w2, _n2 = d2
-        level3, s3, m3, t3, sets3, w3, _n3 = d3
-        lat1 = level1.config.hit_latency_cycles
-        lat2 = level2.config.hit_latency_cycles
-        lat3 = level3.config.hit_latency_cycles
-        lat_mem = cache.memory_latency_cycles
-
-        cycles = 0.0
-        loads = stores = 0.0
-        instructions = 0.0
-        n_access = n_flush = 0
-        l1h = l1m = l2h = l2m = l3h = l3m = 0
-        # Same-line run fast path: a load/store immediately following an
-        # access to the same L1 line is a guaranteed L1 hit (the line is
-        # MRU and nothing ran in between to evict it).  A flush, or a
-        # prefetching memory miss (whose next-line fill could in a
-        # degenerate geometry evict the line), resets the run.
-        last_line = -1
-        ops_done = 0
-        start = cursor.op_index
-        addresses, kinds = block.ops.derive("rows", _trace_rows)
-        total = len(addresses)
-        while start + ops_done < total and cycles < budget_cycles:
-            address = addresses[start + ops_done]
-            kind = kinds[start + ops_done]
-            ops_done += 1
-            cycles += folded_cycles
-            if kind == KIND_FLUSH:
-                line = address >> s1
-                sets1[line & m1].pop(line >> t1, None)
-                line = address >> s2
-                sets2[line & m2].pop(line >> t2, None)
-                line = address >> s3
-                sets3[line & m3].pop(line >> t3, None)
-                cycles += _FLUSH_LATENCY_CYCLES
-                n_flush += 1
-                instructions += flush_instructions
-                last_line = -1
-                continue
-            n_access += 1
-            instructions += op_instructions
-            # The folded accesses are additional memory instructions
-            # hitting L1 (spatial locality within the cached line).
-            if kind == KIND_STORE:
-                stores += event_scale
-            else:
-                loads += event_scale
-            line1 = address >> s1
-            if line1 == last_line:
-                l1h += 1
-                cycles += lat1
-                continue
-            tag1 = line1 >> t1
-            entries1 = sets1[line1 & m1]
-            if tag1 in entries1:
-                entries1.move_to_end(tag1)
-                l1h += 1
-                cycles += lat1
-                last_line = line1
-                continue
-            l1m += 1
-            line2 = address >> s2
-            tag2 = line2 >> t2
-            entries2 = sets2[line2 & m2]
-            if tag2 in entries2:
-                entries2.move_to_end(tag2)
-                l2h += 1
-                cycles += lat2
-                # Fill L1 (the tag is known absent: evict if full, and a
-                # fresh insert is already MRU).
-                if len(entries1) >= w1:
-                    entries1.popitem(last=False)
-                entries1[tag1] = True
-                last_line = line1
-                continue
-            l2m += 1
-            line3 = address >> s3
-            tag3 = line3 >> t3
-            entries3 = sets3[line3 & m3]
-            if tag3 in entries3:
-                entries3.move_to_end(tag3)
-                l3h += 1
-                cycles += lat3
-            else:
-                l3m += 1
-                cycles += lat_mem
-                if len(entries3) >= w3:
-                    entries3.popitem(last=False)
-                entries3[tag3] = True
-            if len(entries2) >= w2:
-                entries2.popitem(last=False)
-            entries2[tag2] = True
-            if len(entries1) >= w1:
-                entries1.popitem(last=False)
-            entries1[tag1] = True
-            last_line = line1
-
-        _commit_stats3(cache, n_flush, n_access, l1h, l1m, l2h, l2m, l3h, l3m)
-        if ops_done:
-            events: Dict[str, float] = {
-                "INST_RETIRED": instructions,
-                "CORE_CYCLES": cycles,
-                "REF_CYCLES": cycles * self.tsc_ratio,
-            }
-            if loads:
-                events["LOADS"] = loads
-            if stores:
-                events["STORES"] = stores
-            if n_flush:
-                events["CACHE_FLUSHES"] = float(n_flush)
-            if l1m:
-                events["L1D_MISSES"] = float(l1m)
-            if l2m:
-                events["L2_MISSES"] = float(l2m)
-                events["LLC_REFERENCES"] = float(l2m)
-            if l3m:
-                events["LLC_MISSES"] = float(l3m)
-            self.pmu.accumulate(events, block.privilege)
-            cursor.consume_ops(ops_done)
-        return self.cycles_to_ns(cycles), instructions
-
-    def _run_trace_generic(self, cursor: BlockCursor, block: TraceBlock,
-                           budget_ns: float) -> tuple:
-        budget_cycles = self.ns_to_cycles(budget_ns)
-        folded_instructions = block.instructions_per_op + block.event_scale - 1.0
-        folded_cycles = folded_instructions * block.cpi
-        cache = self.cache
-        clflush = cache.clflush
-        access_fast = cache.access_fast
-        # Latency per hit-level index; last entry is the memory access.
-        latencies = [level.config.hit_latency_cycles for level in cache.levels]
-        latencies.append(cache.memory_latency_cycles)
-        llc_index = len(cache.levels) - 1
-        memory_index = len(cache.levels)
-        event_scale = block.event_scale
-        op_instructions = block.instructions_per_op + event_scale
-        l1_latency = latencies[0]
-        # Same-line run fast path: a load/store immediately following an
-        # access to the same L1 line is a guaranteed L1 hit (the line is
-        # MRU and nothing ran in between to evict it), so the full probe
-        # is skipped and its bookkeeping applied directly.  A flush, or
-        # a prefetching memory miss (whose next-line fill could in a
-        # degenerate geometry evict the line), resets the run.
-        level0 = cache.levels[0]
-        l1_shift = level0._line_shift
-        l1_name = level0.config.name
-        stats = cache.stats
-        stats_hits = stats.hits
-        reset_on_miss = cache.prefetch_next_line
-        last_line = -1
-
-        cycles = 0.0
-        loads = stores = flushes = 0.0
-        l1_misses = l2_misses = llc_refs = llc_misses = 0.0
-        instructions = 0.0
-        ops_done = 0
-        start = cursor.op_index
-        addresses, kinds = block.ops.derive("rows", _trace_rows)
-        total = len(addresses)
-        while start + ops_done < total and cycles < budget_cycles:
-            address = addresses[start + ops_done]
-            kind = kinds[start + ops_done]
-            cycles += folded_cycles
-            if kind == KIND_FLUSH:
-                clflush(address)
-                cycles += _FLUSH_LATENCY_CYCLES
-                flushes += 1.0
-                instructions += folded_instructions + 1.0
-                last_line = -1
-            else:
-                line = address >> l1_shift
-                if line == last_line:
-                    level0.hits += 1
-                    stats.accesses += 1
-                    stats_hits[l1_name] += 1
-                    hit_index = 0
-                    cycles += l1_latency
-                else:
-                    hit_index = access_fast(address)
-                    cycles += latencies[hit_index]
-                    if reset_on_miss and hit_index == memory_index:
-                        last_line = -1
-                    else:
-                        last_line = line
-                # The folded accesses are additional memory instructions
-                # hitting L1 (spatial locality within the cached line).
-                if kind == KIND_STORE:
-                    stores += event_scale
-                else:
-                    loads += event_scale
-                if hit_index >= 1:
-                    l1_misses += 1.0
-                    if hit_index >= 2:
-                        l2_misses += 1.0
-                if hit_index >= llc_index:
-                    llc_refs += 1.0
-                    if hit_index == memory_index:
-                        llc_misses += 1.0
-                instructions += op_instructions
-            ops_done += 1
-        if ops_done:
-            events: Dict[str, float] = {
-                "INST_RETIRED": instructions,
-                "CORE_CYCLES": cycles,
-                "REF_CYCLES": cycles * self.tsc_ratio,
-            }
-            if loads:
-                events["LOADS"] = loads
-            if stores:
-                events["STORES"] = stores
-            if flushes:
-                events["CACHE_FLUSHES"] = flushes
-            if l1_misses:
-                events["L1D_MISSES"] = l1_misses
-            if l2_misses:
-                events["L2_MISSES"] = l2_misses
-            if llc_refs:
-                events["LLC_REFERENCES"] = llc_refs
-            if llc_misses:
-                events["LLC_MISSES"] = llc_misses
-            self.pmu.accumulate(events, block.privilege)
-            cursor.consume_ops(ops_done)
         return self.cycles_to_ns(cycles), instructions

@@ -133,10 +133,6 @@ class SmpMachine:
 
     def __init__(self, config: MachineConfig,
                  topology: Topology = Topology()) -> None:
-        if len(config.cache_levels) < 2:
-            raise SimulationError(
-                "an SMP machine needs >= 2 cache levels (private levels "
-                "in front of the shared LLC)")
         self.config = config
         self.topology = topology
         self.llcs: List[CacheLevel] = [

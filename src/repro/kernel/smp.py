@@ -89,10 +89,6 @@ class SmpCluster:
             raise ExperimentError(
                 f"lockstep window must be positive, got {window_ns}")
         config = machine_config or i7_920()
-        if len(config.cache_levels) < 2:
-            raise ExperimentError(
-                "shared-LLC clustering needs private levels plus an LLC"
-            )
         self.config = config
         self.window_ns = window_ns
         self.topology = Topology(sockets=sockets,

@@ -1,10 +1,13 @@
 """Shared-LLC clusters and parallel co-running."""
 
+import numpy as np
 import pytest
 
 from repro.kernel.smp import SmpCluster, corun_parallel
 from repro.errors import ExperimentError
+from repro.hw.core import ExecStop
 from repro.sim.clock import ms, seconds, us
+from repro.workloads.base import BlockCursor, ListProgram, Trace, TraceBlock
 from repro.workloads.synthetic import (
     PointerChaseWorkload,
     StridedMemoryWorkload,
@@ -80,8 +83,11 @@ class TestSharedLlcContention:
         assert cache0.contains(victim_address) is not None
         # Core 1 streams enough lines to evict core 0's line from the
         # shared LLC (but not from core 0's private levels).
-        for index in range(300_000):
-            cache1.access_fast(0x8000_0000 + index * 64)
+        stream = TraceBlock(Trace(0x8000_0000 + np.arange(300_000) * 64))
+        result = cluster.kernel(1).machine.core.execute(
+            BlockCursor(ListProgram("stream", [stream])), seconds(1))
+        assert result.stop is ExecStop.PROGRAM_DONE
+        assert cache1.stats.accesses == 300_000
         assert not cluster.shared_llc.contains(victim_address)
 
     def test_streamer_slows_cache_resident_service(self):

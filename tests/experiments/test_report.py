@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.experiments.report import (
+    QUARANTINED,
+    format_cell,
     format_count,
     format_percent,
+    mean_or_none,
     sparkline,
     text_table,
 )
@@ -59,3 +62,50 @@ class TestFormatting:
     def test_format_percent(self):
         assert format_percent(6.014) == "6.01%"
         assert format_percent(0.6789, digits=1) == "0.7%"
+
+
+class TestQuarantinedCells:
+    """A statistic with no surviving trial renders as an explicit
+    ``n=0 (quarantined)`` cell, never as NaN."""
+
+    def test_helpers(self):
+        assert mean_or_none([]) is None
+        assert mean_or_none([1.0, 3.0]) == 2.0
+        assert format_cell(None, ".2f") == QUARANTINED
+        assert format_cell(1.234, ".2f") == "1.23"
+
+    def test_table1(self):
+        from repro.experiments import table1
+
+        gflops = {name: None for name in table1.TOOLS}
+        gflops["k-leb"] = 37.0
+        text = table1.render(table1.Table1Result(
+            gflops=gflops, loss_percent={name: None for name in gflops},
+            trials=3, problem_size=100, period_ns=10_000_000))
+        assert "37.00" in text and QUARANTINED in text
+        assert "nan" not in text
+
+    def test_fig6(self):
+        from repro.experiments import fig6
+
+        means = {event: None for event in fig6.EVENTS}
+        text = fig6.render(fig6.Fig6Result(
+            clean_means=means, attack_means=means, clean_mpki=None,
+            attack_mpki=None, clean_samples_mean=None,
+            attack_samples_mean=None, rounds=3, period_ns=100_000))
+        assert QUARANTINED in text and "nan" not in text
+
+    def test_table2_with_empty_populations(self):
+        from repro.experiments import table2
+        from repro.experiments.overhead_common import ToolRuns
+
+        runs_data = {name: ToolRuns(tool=name) for name in table2.TOOLS}
+        runs_data["k-leb"].wall_ns = [2.0e9]
+        result = table2.OverheadTableResult(
+            title="t", stats=table2.summarize_tools(runs_data),
+            runs_data=runs_data, runs=1, period_ns=10_000_000)
+        assert result.stats == {}
+        assert result.kleb_vs_next_best_percent is None
+        text = table2.render(result)
+        assert "2.0000" in text and QUARANTINED in text
+        assert "nan" not in text

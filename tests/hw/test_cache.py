@@ -168,35 +168,6 @@ class TestClflush:
         assert hierarchy.stats.flushes == 1
 
 
-class TestAccessFast:
-    def test_fast_path_matches_slow_path_levels(self):
-        slow = tiny_hierarchy()
-        fast = tiny_hierarchy()
-        addresses = [0, LINE, 2 * LINE, 0, 4 * LINE, 0, 8 * LINE, LINE]
-        for address in addresses:
-            slow_result = slow.access(address)
-            fast_index = fast.access_fast(address)
-            slow_index = (
-                [level.config.name for level in slow.levels].index(
-                    slow_result.hit_level
-                )
-                if slow_result.hit_level is not None
-                else len(slow.levels)
-            )
-            assert fast_index == slow_index, f"diverged at {address:#x}"
-
-    def test_fast_path_matches_slow_path_stats(self):
-        slow = tiny_hierarchy()
-        fast = tiny_hierarchy()
-        addresses = [i * LINE for i in range(40)] + [0, LINE, 5 * LINE]
-        for address in addresses:
-            slow.access(address)
-            fast.access_fast(address)
-        assert slow.stats.hits == fast.stats.hits
-        assert slow.stats.misses == fast.stats.misses
-        assert slow.stats.accesses == fast.stats.accesses
-
-
 class TestStandardHierarchy:
     def test_three_levels(self):
         hierarchy = standard_hierarchy()

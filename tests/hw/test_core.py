@@ -20,17 +20,24 @@ LINE = 64
 GHZ = 1e9  # 1 GHz: 1 cycle == 1 ns, keeps arithmetic readable
 
 
+LEVELS = (
+    CacheConfig("L1D", 4 * LINE, ways=2, hit_latency_cycles=4),
+    CacheConfig("L2", 16 * LINE, ways=4, hit_latency_cycles=12),
+    CacheConfig("LLC", 64 * LINE, ways=8, hit_latency_cycles=40),
+)
+
+
+def small_hierarchy(levels=LEVELS):
+    return CacheHierarchy(list(levels), memory_latency_cycles=100)
+
+
 def make_core():
     pmu = Pmu()
     pmu.enable_fixed(user=True, kernel=True)
     pmu.program_counter(0, "LOADS", user=True, kernel=True)
     pmu.program_counter(1, "LLC_MISSES", user=True, kernel=True)
     pmu.global_enable()
-    cache = CacheHierarchy(
-        [CacheConfig("L1D", 4 * LINE, ways=2, hit_latency_cycles=4)],
-        memory_latency_cycles=100,
-    )
-    return Core(frequency_hz=GHZ, pmu=pmu, cache=cache)
+    return Core(frequency_hz=GHZ, pmu=pmu, cache=small_hierarchy())
 
 
 def cursor_for(*blocks):
@@ -193,5 +200,36 @@ class TestConversions:
 
     def test_invalid_frequency(self):
         with pytest.raises(SimulationError):
-            Core(frequency_hz=0, pmu=Pmu(),
-                 cache=CacheHierarchy([CacheConfig("L1D", 4 * LINE, ways=2)]))
+            Core(frequency_hz=0, pmu=Pmu(), cache=small_hierarchy())
+
+
+class TestHierarchyShape:
+    """The core models exactly L1D/L2/LLC; other shapes are refused at
+    construction rather than replayed through a different path."""
+
+    @pytest.mark.parametrize("levels", [
+        LEVELS[:1],
+        LEVELS[:2],
+        LEVELS + (CacheConfig("L4", 256 * LINE, ways=8,
+                              hit_latency_cycles=60),),
+    ])
+    def test_non_three_level_hierarchy_rejected(self, levels):
+        with pytest.raises(SimulationError,
+                           match=rf"got {len(levels)} level"):
+            Core(frequency_hz=GHZ, pmu=Pmu(),
+                 cache=small_hierarchy(levels))
+
+    def test_machine_and_smp_builders_inherit_the_rule(self):
+        from dataclasses import replace
+
+        from repro.hw.machine import Machine, SmpMachine
+        from repro.hw.presets import i7_920
+        from repro.kernel.smp import SmpCluster
+
+        two_level = replace(i7_920(), cache_levels=list(LEVELS[:2]))
+        for build in (lambda: Machine(two_level),
+                      lambda: SmpMachine(two_level),
+                      lambda: SmpCluster(cores=2,
+                                         machine_config=two_level)):
+            with pytest.raises(SimulationError, match="got 2 level"):
+                build()

@@ -4,7 +4,7 @@
 plans were built with numpy.  It walks the trace one op at a time, so
 it is slow but easy to check by eye; the property below requires the
 vectorised :func:`repro.hw.core._trace_plan` to match it field for
-field on arbitrary traces and geometries.
+field on arbitrary traces and geometries, prefetcher on and off.
 """
 
 from typing import Dict
@@ -16,9 +16,9 @@ from repro.hw.core import _trace_plan
 from repro.workloads.base import KIND_FLUSH, KIND_LOAD, KIND_STORE
 
 
-def reference_plan(addresses, kinds, geometry) -> Dict[str, list]:
+def reference_plan(addresses, kinds, key) -> Dict[str, list]:
     """Per-op loop compiler: the oracle for ``_trace_plan``."""
-    s1, m1, t1, s2, m2, t2, s3, m3, t3 = geometry
+    s1, m1, t1, s2, m2, t2, s3, m3, t3, prefetch = key
     addresses = [int(address) for address in addresses]
     kinds = [int(kind) for kind in kinds]
     n = len(addresses)
@@ -28,11 +28,12 @@ def reference_plan(addresses, kinds, geometry) -> Dict[str, list]:
 
     # Category 2 is a flush, 1 an access whose predecessor is an
     # access to the same L1 line (MRU), 3 a guaranteed miss, 0 a probe.
+    # The prefetcher rules out both shortcuts.
     kindcat = []
     for i in range(n):
         if kinds[i] == KIND_FLUSH:
             kindcat.append(2)
-        elif (i > 0 and kinds[i - 1] != KIND_FLUSH
+        elif (not prefetch and i > 0 and kinds[i - 1] != KIND_FLUSH
               and line1[i - 1] == line1[i]):
             kindcat.append(1)
         else:
@@ -41,7 +42,7 @@ def reference_plan(addresses, kinds, geometry) -> Dict[str, list]:
     # An access whose most recent same-line predecessor is a flush is
     # guarded by that flush's index; only with one line size throughout.
     guard = [-1] * n
-    if s1 == s2 == s3:
+    if s1 == s2 == s3 and not prefetch:
         last_touch: Dict[int, int] = {}
         for i in range(n):
             line = line1[i]
@@ -90,11 +91,12 @@ def _level(line_shift: int, set_bits: int) -> tuple:
     return (line_shift, (1 << set_bits) - 1, set_bits)
 
 
-def compile_both(addresses, kinds, geometry):
+def compile_both(addresses, kinds, geometry, prefetch=False):
     addresses = np.asarray(addresses, dtype=np.int64)
     kinds = np.asarray(kinds, dtype=np.int8)
-    return (_trace_plan(addresses, kinds, geometry)._asdict(),
-            reference_plan(addresses, kinds, geometry))
+    key = geometry + (prefetch,)
+    return (_trace_plan(addresses, kinds, key)._asdict(),
+            reference_plan(addresses, kinds, key))
 
 
 # A trace is a list of runs; each run repeats one (kind, line) op, so
@@ -132,11 +134,13 @@ def _expand(runs):
 
 
 class TestPlanMatchesLoopOracle:
-    @given(_runs, _geometries)
+    @given(_runs, _geometries, st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_vectorised_plan_equals_reference(self, runs, geometry):
+    def test_vectorised_plan_equals_reference(self, runs, geometry,
+                                              prefetch):
         addresses, kinds = _expand(runs)
-        vectorised, reference = compile_both(addresses, kinds, geometry)
+        vectorised, reference = compile_both(addresses, kinds, geometry,
+                                             prefetch)
         assert vectorised == reference
 
     def test_flush_reload_round_guards_span_runs(self):
@@ -153,6 +157,20 @@ class TestPlanMatchesLoopOracle:
         assert vectorised["kindcat"][8] == 3      # transient: flushed line
         assert vectorised["kindcat"][9:] == [3, 3, 3, 0, 3, 3, 3, 3]
         assert vectorised["guard_min"][9] == 0    # min over the run
+
+    def test_prefetch_disables_shortcuts(self):
+        """A prefetch can install a flushed line, so with the prefetcher
+        on a reload is a plain probe, and so is a same-line repeat."""
+        addresses = [0, 0, 0]
+        kinds = [KIND_FLUSH, KIND_LOAD, KIND_LOAD]
+        geometry = _level(6, 2) * 3
+        off, _ = compile_both(addresses, kinds, geometry, prefetch=False)
+        on, reference = compile_both(addresses, kinds, geometry,
+                                     prefetch=True)
+        assert off["kindcat"] == [2, 3, 1]
+        assert on == reference
+        assert on["kindcat"] == [2, 0, 0]
+        assert on["guard_min"] == [-1, -1, -1]
 
     def test_unequal_line_sizes_disable_guard(self):
         addresses = [0, 0]

@@ -3,6 +3,9 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.hw.cache import CacheConfig, CacheHierarchy
+from repro.hw.core import Core, ExecStop
+from repro.hw.pmu import Pmu
+from repro.workloads.base import BlockCursor, ListProgram, Trace, TraceBlock
 
 LINE = 64
 
@@ -68,14 +71,30 @@ class TestCacheInvariants:
     @given(address_lists)
     @settings(max_examples=50, deadline=None)
     def test_fast_and_slow_paths_agree(self, trace):
-        slow = small_hierarchy()
-        fast = small_hierarchy()
-        names = [level.config.name for level in slow.levels]
+        """The core's trace executor (the fast path) leaves the same
+        statistics and LRU contents as one ``access`` call per op."""
+        def three_levels():
+            return CacheHierarchy(
+                [
+                    CacheConfig("L1D", 4 * LINE, ways=2),
+                    CacheConfig("L2", 16 * LINE, ways=4),
+                    CacheConfig("LLC", 64 * LINE, ways=8),
+                ],
+                memory_latency_cycles=100,
+            )
+
+        slow = three_levels()
         for address in trace:
-            result = slow.access(address)
-            slow_index = (names.index(result.hit_level)
-                          if result.hit_level else len(names))
-            assert fast.access_fast(address) == slow_index
+            slow.access(address)
+        fast = three_levels()
+        cursor = BlockCursor(ListProgram("trace",
+                                         [TraceBlock(Trace(trace))]))
+        result = Core(frequency_hz=1e9, pmu=Pmu(), cache=fast).execute(
+            cursor, budget_ns=10**9)
+        assert result.stop is ExecStop.PROGRAM_DONE
+        assert fast.stats == slow.stats
+        for fast_level, slow_level in zip(fast.levels, slow.levels):
+            assert fast_level._sets == slow_level._sets
 
     @given(address_lists, addresses)
     @settings(max_examples=50, deadline=None)

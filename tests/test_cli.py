@@ -275,6 +275,7 @@ class TestLivePlane:
         assert serial["events_recorded"] > serial["events_retained"] > 0
         assert pooled == serial
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_flight_dump_on_quarantine(self, capsys, tmp_path):
         """A quarantined trial triggers a mid-run flight dump (later
         overwritten by the run-end dump only if the run finishes; the
