@@ -7,10 +7,8 @@ most *consistent* interference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
-
-import numpy as np
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
 from repro.analysis.stats import BoxStats, box_stats, normalize
 from repro.experiments import report
@@ -25,11 +23,16 @@ TOOLS = ("none", "k-leb", "perf-stat", "perf-record", "papi", "limit")
 
 @dataclass
 class Fig8Result:
-    """Box statistics of normalized runtimes per tool."""
+    """Box statistics of normalized runtimes per tool.
+
+    ``quarantined`` names the supported tools left out of ``boxes``
+    because quarantine emptied their population or the baseline's.
+    """
 
     boxes: Dict[str, BoxStats]
     runs: int
     period_ns: int
+    quarantined: List[str] = field(default_factory=list)
 
     def spread_ranking(self) -> Dict[str, float]:
         """Tools ordered by whisker-to-whisker spread (ascending)."""
@@ -51,13 +54,18 @@ def run(runs: int = 30, n: int = 1024, period_ns: int = ms(10),
         machine_config=machine_config, jobs=jobs,
         faults=faults, fault_ledger=fault_ledger,
     )
-    baseline_mean = float(np.mean(runs_data["none"].wall_ns))
-    boxes = {
-        name: box_stats(normalize(record.wall_ns, baseline_mean))
-        for name, record in runs_data.items()
-        if record.supported
-    }
-    return Fig8Result(boxes=boxes, runs=runs, period_ns=period_ns)
+    baseline_mean = report.mean_or_none(runs_data["none"].wall_ns)
+    boxes: Dict[str, BoxStats] = {}
+    quarantined: List[str] = []
+    for name, record in runs_data.items():
+        if not record.supported:
+            continue
+        if record.wall_ns and baseline_mean is not None:
+            boxes[name] = box_stats(normalize(record.wall_ns, baseline_mean))
+        else:
+            quarantined.append(name)
+    return Fig8Result(boxes=boxes, runs=runs, period_ns=period_ns,
+                      quarantined=quarantined)
 
 
 def render(result: Fig8Result) -> str:
@@ -72,17 +80,16 @@ def render(result: Fig8Result) -> str:
             f"{stats.whisker_high:.4f}",
             f"{stats.spread:.4f}",
         ])
+    for name in result.quarantined:
+        rows.append([name, report.QUARANTINED] + ["-"] * 5)
     table = report.text_table(
         ["tool", "median", "q1", "q3", "wlow", "whigh", "spread"],
         rows,
         title=(f"Fig. 8 — normalized runtime distributions "
                f"({result.runs} runs)"),
     )
-    monitored = {
-        name: spread
-        for name, spread in result.spread_ranking().items()
-        if name != "none"
-    }
-    tightest = next(iter(monitored))
+    monitored = [name for name in result.spread_ranking() if name != "none"]
+    tightest = (monitored[0] if monitored
+                else "n/a (every monitored population quarantined)")
     return (f"{table}\n\ntightest monitored spread: {tightest} "
             "(paper: K-LEB has the smallest spread)")

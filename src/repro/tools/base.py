@@ -24,100 +24,16 @@ implementation here.
 
 from __future__ import annotations
 
-from array import array
-from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.errors import ToolError, ToolUnsupportedError
 from repro.hw.pmu import NUM_PROGRAMMABLE
 from repro.kernel.kernel import Kernel
 from repro.kernel.kprobes import ProbePoint
 from repro.kernel.process import Task
+from repro.samples import Sample, SampleColumns  # noqa: F401 (re-export)
 from repro.workloads.base import Program
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One periodic reading: cumulative counter values at a timestamp."""
-
-    timestamp: int
-    values: Dict[str, int]
-
-
-class SampleColumns(_SequenceABC):
-    """A sample series kept in struct-of-arrays form.
-
-    Duck-types ``Sequence[Sample]`` — indexing materializes a
-    :class:`Sample` on demand — while exposing the typed columns
-    (``timestamps`` plus one ``array('q')`` per event in ``names``)
-    directly, so columnar-aware consumers (CSV/JSON writers, the
-    time-series resampler) never build a per-sample dict.  Built by the
-    K-LEB session from the module's drained
-    :class:`~repro.kernel.ringbuffer.ColumnBatch` objects.
-    """
-
-    __slots__ = ("names", "timestamps", "columns")
-
-    def __init__(self, names: Sequence[str], timestamps: array,
-                 columns: Sequence[array]) -> None:
-        self.names: Tuple[str, ...] = tuple(names)
-        self.timestamps = timestamps
-        self.columns = list(columns)
-
-    @classmethod
-    def from_batches(cls, batches: Iterable) -> "SampleColumns":
-        """Concatenate drained :class:`ColumnBatch` objects (one schema)."""
-        batches = list(batches)
-        names = batches[0].names
-        timestamps = array("q")
-        columns = [array("q") for _ in names]
-        for batch in batches:
-            if batch.names != names:
-                raise ToolError(
-                    "cannot concatenate column batches with different "
-                    f"schemas: {names} vs {batch.names}"
-                )
-            timestamps.extend(batch.timestamps)
-            for column, part in zip(columns, batch.columns):
-                column.extend(part)
-        return cls(names, timestamps, columns)
-
-    def __len__(self) -> int:
-        return len(self.timestamps)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        timestamp = self.timestamps[index]  # raises IndexError as a list would
-        return Sample(
-            timestamp=timestamp,
-            values={name: column[index]
-                    for name, column in zip(self.names, self.columns)},
-        )
-
-    def column(self, name: str) -> array:
-        """The values of one event column (KeyError for unknown names)."""
-        try:
-            return self.columns[self.names.index(name)]
-        except ValueError:
-            raise KeyError(name) from None
-
-    def __eq__(self, other):
-        # Value equality, so reports survive dataclass comparison (the
-        # parallel-vs-serial determinism gate) and pickling round-trips.
-        if isinstance(other, SampleColumns):
-            return (self.names == other.names
-                    and self.timestamps == other.timestamps
-                    and self.columns == other.columns)
-        if isinstance(other, _SequenceABC) and not isinstance(
-                other, (str, bytes)):
-            return (len(self) == len(other)
-                    and all(mine == theirs
-                            for mine, theirs in zip(self, other)))
-        return NotImplemented
-
-    __hash__ = None
 
 
 @dataclass

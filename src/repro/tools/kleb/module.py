@@ -20,21 +20,22 @@ buffer fills, collection pauses until a drain frees space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.errors import ModuleError, ToolError, TransientModuleError
 from repro.kernel.kprobes import ProbePoint
 from repro.kernel.module import KernelModule
 from repro.kernel.process import Task
-from repro.kernel.ringbuffer import ColumnarRing, PerCpuRing, RingBuffer
+from repro.kernel.ringbuffer import ColumnarRing, PerCpuRing
 from repro.kernel.hrtimer import HrTimer
 from repro.hw import events as ev
 from repro.hw import schedule
 from repro.hw.pmu import (COUNTER_WIDTH_BITS, NUM_PROGRAMMABLE,
                           RDPMC_FIXED_FLAG)
+from repro.samples import SampleColumns
 from repro.sim.clock import us
 from repro.tools import costs
-from repro.tools.base import Sample
 
 _COUNTER_WRAP = 1 << COUNTER_WIDTH_BITS
 
@@ -215,7 +216,7 @@ class KLebModule(KernelModule):
         super().__init__()
         self.smp = smp
         self.config: Optional[KLebModuleConfig] = None
-        self.buffer: Optional[RingBuffer] = None
+        self.buffer: Optional[Union[ColumnarRing, PerCpuRing]] = None
         self.timer: Optional[HrTimer] = None
         # One timer per cpu on an SMP session; None on the classic path.
         self.timers: Optional[List[HrTimer]] = None
@@ -247,11 +248,8 @@ class KLebModule(KernelModule):
         self.timers = []
         for cpu, cpu_kernel in enumerate(self.smp.kernels):
             label = "k-leb" if cpu == self.smp.home else f"k-leb:cpu{cpu}"
-
-            def fire(when: int, _cpu: int = cpu) -> None:
-                self._timer_fire_smp(when, _cpu)
-
-            self.timers.append(HrTimer(cpu_kernel, fire, label=label))
+            self.timers.append(HrTimer(
+                cpu_kernel, partial(self._timer_fire, cpu=cpu), label=label))
         self.timer = self.timers[self.smp.home]
 
     def on_unload(self) -> None:
@@ -355,23 +353,23 @@ class KLebModule(KernelModule):
                                           kernel=argument.count_kernel)
                 other.enable_fixed(user=True, kernel=argument.count_kernel)
                 other.global_disable()
+        # Fixed schema for the whole session, so the interrupt handler
+        # pushes typed rows, never dicts.  A classic session's rows are
+        # the programmed counter layout; a multiplexed row carries every
+        # fixed event, then every rotated event once in plan order,
+        # whichever group is live.
         if self.mux is not None:
-            # Rotation changes the per-sample event schema between
-            # windows, so multiplexed sessions keep the generic ring.
-            self.buffer = RingBuffer(argument.buffer_capacity)
+            row_names = tuple(dict.fromkeys(ev.FIXED_EVENTS
+                                            + self.mux.plan.rotated_names))
         else:
-            # Fixed schema for the whole session: the columnar ring is
-            # allocated against the programmed counter-row layout and
-            # the interrupt handler pushes typed rows, never dicts.
             row_names, _ = pmu.counter_row()
-            if self.smp is not None:
-                # One private ring per core (capacity each), merged in
-                # timestamp order at drain time.
-                self.buffer = PerCpuRing(argument.buffer_capacity, row_names,
-                                         cpus=len(self.smp.kernels))
-            else:
-                self.buffer = ColumnarRing(argument.buffer_capacity,
-                                           row_names)
+        if self.smp is not None:
+            # One private ring per core (capacity each), merged in
+            # timestamp order at drain time.
+            self.buffer = PerCpuRing(argument.buffer_capacity, row_names,
+                                     cpus=len(self.smp.kernels))
+        else:
+            self.buffer = ColumnarRing(argument.buffer_capacity, row_names)
         return True
 
     def _ioctl_start(self, argument: object) -> bool:
@@ -391,49 +389,33 @@ class KLebModule(KernelModule):
         self.final_totals = None
         self.final_totals_by_cpu = None
         self.stats = KLebStats()
-        if self.smp is None:
-            probes = self.kernel.kprobes
-            self._probe_handles = [
-                (probes,
-                 probes.register(ProbePoint.SCHED_SWITCH_IN,
-                                 self._switch_in)),
-                (probes,
-                 probes.register(ProbePoint.SCHED_SWITCH_OUT,
-                                 self._switch_out)),
-                (probes, probes.register(ProbePoint.PROCESS_FORK,
-                                         self._fork)),
-                (probes, probes.register(ProbePoint.PROCESS_EXIT,
-                                         self._exit)),
+        # On SMP, probes go on *every* core: the traced task may run
+        # (and exit) anywhere, and sched:migrate fires on the
+        # destination core so counting follows the task.
+        cpus = ([(None, self.kernel)] if self.smp is None
+                else list(enumerate(self.smp.kernels)))
+        self._probe_handles = []
+        for cpu, cpu_kernel in cpus:
+            probes = cpu_kernel.kprobes
+            points = [
+                (ProbePoint.SCHED_SWITCH_IN,
+                 partial(self._switch_in, cpu=cpu)),
+                (ProbePoint.SCHED_SWITCH_OUT,
+                 partial(self._switch_out, cpu=cpu)),
+                (ProbePoint.PROCESS_FORK, self._fork),
+                (ProbePoint.PROCESS_EXIT, self._exit),
             ]
-        else:
-            # Probes on *every* core: the traced task may run (and
-            # exit) anywhere, and sched:migrate fires on the
-            # destination core so counting follows the task.
-            self._probe_handles = []
-            for cpu, cpu_kernel in enumerate(self.smp.kernels):
-                probes = cpu_kernel.kprobes
-                for point, handler in (
-                    (ProbePoint.SCHED_SWITCH_IN,
-                     self._smp_switch_in(cpu)),
-                    (ProbePoint.SCHED_SWITCH_OUT,
-                     self._smp_switch_out(cpu)),
-                    (ProbePoint.SCHED_MIGRATE, self._migrated),
-                    (ProbePoint.PROCESS_FORK, self._fork),
-                    (ProbePoint.PROCESS_EXIT, self._exit),
-                ):
-                    self._probe_handles.append(
-                        (probes, probes.register(point, handler)))
+            if cpu is not None:
+                points.insert(2, (ProbePoint.SCHED_MIGRATE, self._migrated))
+            for point, handler in points:
+                self._probe_handles.append(
+                    (probes, probes.register(point, handler)))
         self.collecting = True
         # If the monitored task is already on a CPU, begin right away.
-        if self.smp is None:
-            current = self.kernel.scheduler.current
+        for cpu, cpu_kernel in cpus:
+            current = cpu_kernel.scheduler.current
             if current is not None and current.pid in self.traced_pids:
-                self._begin_counting()
-        else:
-            for cpu, cpu_kernel in enumerate(self.smp.kernels):
-                current = cpu_kernel.scheduler.current
-                if current is not None and current.pid in self.traced_pids:
-                    self._begin_counting(cpu)
+                self._begin_counting(cpu)
         return True
 
     def _ioctl_stop(self) -> Dict[str, int]:
@@ -481,9 +463,10 @@ class KLebModule(KernelModule):
     # ------------------------------------------------------------------
     # Device read (controller drains samples)
     # ------------------------------------------------------------------
-    def read(self, max_items: Optional[int] = None):
-        """Drain pooled samples: a :class:`ColumnBatch` from a columnar
-        session (non-multiplexed), a ``List[Sample]`` otherwise."""
+    def read(self, max_items: Optional[int] = None) -> SampleColumns:
+        """Drain up to ``max_items`` pooled samples as one
+        :class:`~repro.samples.SampleColumns` batch in the session's
+        fixed schema (plus a trailing ``cpu`` column on SMP)."""
         if self.buffer is None:
             raise ModuleError("K-LEB: read before config")
         if max_items is not None and max_items < 0:
@@ -512,25 +495,13 @@ class KLebModule(KernelModule):
     # ------------------------------------------------------------------
     # kprobe handlers: per-PID isolation (paper Fig. 3)
     # ------------------------------------------------------------------
-    def _switch_in(self, task: Task) -> None:
+    def _switch_in(self, task: Task, cpu: Optional[int] = None) -> None:
         if self.collecting and task.pid in self.traced_pids:
-            self._begin_counting()
+            self._begin_counting(cpu)
 
-    def _switch_out(self, task: Task) -> None:
+    def _switch_out(self, task: Task, cpu: Optional[int] = None) -> None:
         if self.collecting and task.pid in self.traced_pids:
-            self._pause_counting()
-
-    def _smp_switch_in(self, cpu: int):
-        def handler(task: Task) -> None:
-            if self.collecting and task.pid in self.traced_pids:
-                self._begin_counting(cpu)
-        return handler
-
-    def _smp_switch_out(self, cpu: int):
-        def handler(task: Task) -> None:
-            if self.collecting and task.pid in self.traced_pids:
-                self._pause_counting(cpu)
-        return handler
+            self._pause_counting(cpu)
 
     def _migrated(self, task: Task, src_cpu: int, dst_cpu: int) -> None:
         # Fires on the destination core; the actual re-arm (timer +
@@ -555,33 +526,31 @@ class KLebModule(KernelModule):
     # ------------------------------------------------------------------
     # Counting control
     # ------------------------------------------------------------------
+    def _kernel_on(self, cpu: Optional[int]):
+        """The kernel of ``cpu`` (the module's own kernel when None)."""
+        return self.kernel if cpu is None else self.smp.kernels[cpu]
+
+    def _timer_on(self, cpu: Optional[int]) -> HrTimer:
+        """The HRTimer of ``cpu`` (the classic timer when None)."""
+        timer = self.timer if cpu is None else self.timers[cpu]
+        assert timer is not None
+        return timer
+
     def _begin_counting(self, cpu: Optional[int] = None) -> None:
         assert self.config is not None
-        if cpu is None:
-            assert self.timer is not None
-            self.kernel.pmu.global_enable()
-            # The adapt ioctl may have retuned the period since config;
-            # equals config.period_ns when the controller never adapted.
-            self.timer.start(self.active_period_ns or self.config.period_ns)
-            return
-        assert self.timers is not None and self.smp is not None
-        self.smp.kernels[cpu].pmu.global_enable()
-        self.timers[cpu].start(self.active_period_ns or self.config.period_ns)
+        self._kernel_on(cpu).pmu.global_enable()
+        # The adapt ioctl may have retuned the period since config;
+        # equals config.period_ns when the controller never adapted.
+        self._timer_on(cpu).start(self.active_period_ns
+                                  or self.config.period_ns)
 
     def _pause_counting(self, cpu: Optional[int] = None) -> None:
-        if cpu is None:
-            assert self.timer is not None
-            self.timer.cancel()
-            if self.mux is not None:
-                # Harvest the partial window before the counters freeze
-                # so drained samples stay fresh across descheduled
-                # stretches.
-                self._mux_harvest()
-            self.kernel.pmu.global_disable()
-            return
-        assert self.timers is not None and self.smp is not None
-        self.timers[cpu].cancel()
-        self.smp.kernels[cpu].pmu.global_disable()
+        self._timer_on(cpu).cancel()
+        if self.mux is not None:
+            # Harvest the partial window before the counters freeze so
+            # drained samples stay fresh across descheduled stretches.
+            self._mux_harvest()
+        self._kernel_on(cpu).pmu.global_disable()
 
     def _stop_collection(self) -> None:
         if self.smp is not None:
@@ -688,18 +657,16 @@ class KLebModule(KernelModule):
         self.stats.rotate_ns += costs.KLEB_ROTATE_NS
         self._mux_program_active()
 
-    def _mux_sample_values(self) -> Dict[str, int]:
+    def _mux_sample_row(self) -> List[int]:
         """Fixed counters plus cumulative raw counts of every rotated
-        event (counts observed so far; descheduled events hold still)."""
-        assert self.mux is not None
-        mux = self.mux
-        pmu = self.kernel.pmu
-        values: Dict[str, int] = {}
-        for index, event_name in enumerate(ev.FIXED_EVENTS):
-            values[event_name] = pmu.rdpmc(index | RDPMC_FIXED_FLAG)
-        for name in mux.plan.rotated_names:
-            values[name] = int(mux.raw[name])
-        return values
+        event (counts observed so far; descheduled events hold still),
+        in the ring's column order."""
+        assert self.mux is not None and self.buffer is not None
+        raw = self.mux.raw
+        rdpmc = self.kernel.pmu.rdpmc
+        fixed = len(ev.FIXED_EVENTS)
+        return ([rdpmc(index | RDPMC_FIXED_FLAG) for index in range(fixed)]
+                + [int(raw[name]) for name in self.buffer.names[fixed:]])
 
     def _mux_totals(self) -> Dict[str, int]:
         """Final totals: exact fixed counts, scaled rotated estimates."""
@@ -719,104 +686,74 @@ class KLebModule(KernelModule):
     # ------------------------------------------------------------------
     # HRTimer interrupt handler
     # ------------------------------------------------------------------
-    def _timer_fire(self, when: int) -> None:
+    def _timer_fire(self, when: int, cpu: Optional[int] = None) -> None:
+        """The HRTimer interrupt handler of the classic timer (``cpu``
+        None) or of ``cpu``'s timer on an SMP session.
+
+        Interrupt time is charged on the firing cpu's kernel, which
+        also supplies the PMU read and the squeeze faults; an SMP row
+        goes into that cpu's private ring.  SMP sessions never
+        multiplex, so the rotation arms only run on the classic timer.
+        """
         if not self.collecting:
             return
-        self.stats.timer_fires += 1
-        if self.stats.timer_fires == 1:
+        kernel = self._kernel_on(cpu)
+        stats = self.stats
+        mux = self.mux
+        stats.timer_fires += 1
+        if stats.timer_fires == 1:
             # Lazy one-time work on the first fire: buffer page faults,
             # module-path cache warmup.
-            self.kernel.charge_kernel_time(costs.KLEB_FIRST_FIRE_NS)
-        if (self.skip_factor > 1
-                and self.stats.timer_fires % self.skip_factor != 0):
+            kernel.charge_kernel_time(costs.KLEB_FIRST_FIRE_NS)
+        if self.skip_factor > 1 and stats.timer_fires % self.skip_factor != 0:
             # Sample-dropping ladder rung: the handler enters, checks
             # the skip counter, and bails without touching the PMU or
             # the buffer.  The gap is accounted (samples_skipped) so
             # downstream analysis can distinguish dropped-by-policy
             # from lost-to-pressure.  Rotation fires still tick so a
             # multiplexed session keeps cycling its groups.
-            self.kernel.charge_kernel_time(costs.KLEB_SKIP_FIRE_NS)
-            self.stats.handler_time_ns += costs.KLEB_SKIP_FIRE_NS
-            self.stats.samples_skipped += 1
-            if self.mux is not None and len(self.mux.plan.groups) > 1:
-                self.mux.fires_in_window += 1
-                if (self.mux.fires_in_window
-                        >= self.mux.rotate_fires * self.rotate_slowdown):
+            kernel.charge_kernel_time(costs.KLEB_SKIP_FIRE_NS)
+            stats.handler_time_ns += costs.KLEB_SKIP_FIRE_NS
+            stats.samples_skipped += 1
+            if mux is not None and len(mux.plan.groups) > 1:
+                mux.fires_in_window += 1
+                if (mux.fires_in_window
+                        >= mux.rotate_fires * self.rotate_slowdown):
                     self._mux_harvest()
                     self._mux_rotate()
             return
-        self.kernel.charge_kernel_time(costs.KLEB_HANDLER_NS)
-        self.stats.handler_time_ns += costs.KLEB_HANDLER_NS
-        assert self.buffer is not None
+        kernel.charge_kernel_time(costs.KLEB_HANDLER_NS)
+        stats.handler_time_ns += costs.KLEB_HANDLER_NS
+        buffer = self.buffer
+        assert buffer is not None
         # Fault injection: memory pressure may squeeze the sample pool's
         # effective capacity for a window of fires.
-        squeezed = self.kernel.faults.squeeze_capacity(self.buffer.capacity,
-                                                       self.kernel.now)
+        squeezed = kernel.faults.squeeze_capacity(buffer.capacity, kernel.now)
         if squeezed is not None:
-            self.buffer.squeeze(squeezed)
+            buffer.squeeze(squeezed)
         else:
-            self.buffer.unsqueeze()
-        if self.mux is not None:
+            buffer.unsqueeze()
+        # One typed row straight into the ring's preallocated columns —
+        # no snapshot dict, no Sample object.
+        if mux is not None:
             self._mux_harvest()
-            values = self._mux_sample_values()
-            pushed = self.buffer.push(
-                Sample(timestamp=self.kernel.now, values=values)
-            )
+            row = self._mux_sample_row()
         else:
-            # Columnar hot path: one typed row straight into the ring's
-            # preallocated columns — no snapshot dict, no Sample object.
-            _, row = self.kernel.pmu.counter_row()
-            pushed = self.buffer.push_row(self.kernel.now, row)
+            _, row = kernel.pmu.counter_row()
+        if cpu is None:
+            pushed = buffer.push_row(kernel.now, row)
+        else:
+            pushed = buffer.push_row(cpu, kernel.now, row)
         if pushed:
-            self.stats.samples_recorded += 1
+            stats.samples_recorded += 1
         else:
             # Safety mechanism: buffer full, controller starved —
             # sample dropped, collection paused until a drain.
-            self.stats.samples_dropped += 1
-        self.stats.pause_episodes = self.buffer.pause_episodes
-        if self.mux is not None and len(self.mux.plan.groups) > 1:
-            self.mux.fires_in_window += 1
+            stats.samples_dropped += 1
+        stats.pause_episodes = buffer.pause_episodes
+        if mux is not None and len(mux.plan.groups) > 1:
+            mux.fires_in_window += 1
             # The rotation-slowed ladder rung stretches each group's
             # window by rotate_slowdown (1 when not adapted).
-            if (self.mux.fires_in_window
-                    >= self.mux.rotate_fires * self.rotate_slowdown):
+            if mux.fires_in_window >= mux.rotate_fires * self.rotate_slowdown:
                 self._mux_rotate()
-
-    def _timer_fire_smp(self, when: int, cpu: int) -> None:
-        """Per-core variant of :meth:`_timer_fire`.
-
-        Mirrors the classic handler (skip ladder, squeeze faults,
-        columnar push, back-pressure accounting) but charges interrupt
-        time on ``cpu``'s kernel, reads ``cpu``'s PMU, and pushes into
-        that core's private ring.  SMP sessions never multiplex, so the
-        rotation arms are absent.
-        """
-        if not self.collecting:
-            return
-        assert self.smp is not None
-        cpu_kernel = self.smp.kernels[cpu]
-        self.stats.timer_fires += 1
-        if self.stats.timer_fires == 1:
-            cpu_kernel.charge_kernel_time(costs.KLEB_FIRST_FIRE_NS)
-        if (self.skip_factor > 1
-                and self.stats.timer_fires % self.skip_factor != 0):
-            cpu_kernel.charge_kernel_time(costs.KLEB_SKIP_FIRE_NS)
-            self.stats.handler_time_ns += costs.KLEB_SKIP_FIRE_NS
-            self.stats.samples_skipped += 1
-            return
-        cpu_kernel.charge_kernel_time(costs.KLEB_HANDLER_NS)
-        self.stats.handler_time_ns += costs.KLEB_HANDLER_NS
-        assert isinstance(self.buffer, PerCpuRing)
-        squeezed = cpu_kernel.faults.squeeze_capacity(self.buffer.capacity,
-                                                      cpu_kernel.now)
-        if squeezed is not None:
-            self.buffer.squeeze(squeezed)
-        else:
-            self.buffer.unsqueeze()
-        _, row = cpu_kernel.pmu.counter_row()
-        pushed = self.buffer.push_row(cpu, cpu_kernel.now, row)
-        if pushed:
-            self.stats.samples_recorded += 1
-        else:
-            self.stats.samples_dropped += 1
-        self.stats.pause_episodes = self.buffer.pause_episodes

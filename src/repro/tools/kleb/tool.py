@@ -15,8 +15,8 @@ from repro.kernel.kernel import Kernel
 from repro.kernel.process import Task, TaskState
 from repro.sim.clock import seconds
 from repro.tools import costs
-from repro.tools.base import (MonitoringTool, Sample, SampleColumns, Session,
-                              ToolReport)
+from repro.samples import SampleColumns
+from repro.tools.base import MonitoringTool, Session, ToolReport
 from repro.tools.kleb.controller import ControllerState, KLebControllerProgram
 from repro.tools.kleb.module import (KLebModule, KLebModuleConfig,
                                      SmpContext)
@@ -103,13 +103,11 @@ class KLebSession(Session):
                 "multiplex_min_running_cycles": float(min(running) if running
                                                       else 0),
             })
-        if self.state.sample_batches:
-            # Columnar session: one concatenation of the drained column
-            # batches; Sample objects only ever materialize if a
-            # consumer indexes into the series.
-            samples = SampleColumns.from_batches(self.state.sample_batches)
-        else:
-            samples = list(self.state.samples)
+        # One concatenation of the drained batches in the ring's schema
+        # (an empty series when nothing was drained); Sample objects
+        # only ever materialize if a consumer indexes into the series.
+        samples = SampleColumns.concat(self.module.buffer.names,
+                                       self.state.sample_batches)
         return ToolReport(
             tool="k-leb",
             events=self.events,

@@ -109,3 +109,34 @@ class TestQuarantinedCells:
         text = table2.render(result)
         assert "2.0000" in text and QUARANTINED in text
         assert "nan" not in text
+
+    @pytest.mark.parametrize("survivors", [
+        {}, {"none": [1.0e9, 1.1e9]}, {"k-leb": [1.2e9]},
+        {"none": [1.0e9], "k-leb": [1.2e9, 1.3e9]},
+    ])
+    def test_fig8_with_empty_populations(self, monkeypatch, survivors):
+        """Emptied populations (the baseline's included) become
+        quarantined rows: no empty mean, no ExperimentError, no NaN."""
+        import warnings
+
+        from repro.experiments import fig8
+        from repro.experiments.overhead_common import ToolRuns
+
+        def emptied_runs(program, tool_names, **kwargs):
+            runs_data = {name: ToolRuns(tool=name) for name in tool_names}
+            for name, wall_ns in survivors.items():
+                runs_data[name].wall_ns = list(wall_ns)
+            return runs_data
+
+        monkeypatch.setattr(fig8, "collect_tool_runs", emptied_runs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fig8.run(runs=2, n=8)
+            text = fig8.render(result)
+        assert set(result.boxes) == (set(survivors) if "none" in survivors
+                                     else set())
+        assert set(result.quarantined) == set(fig8.TOOLS) - set(result.boxes)
+        assert QUARANTINED in text and "nan" not in text
+        tightest = ("k-leb" if "k-leb" in result.boxes
+                    else "n/a (every monitored population quarantined)")
+        assert f"tightest monitored spread: {tightest} " in text

@@ -1,10 +1,16 @@
 """K-LEB time-multiplexing: rotation, scaled estimates, determinism."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ToolError
 from repro.experiments.runner import run_monitored, run_trials
 from repro.faults import FaultInjector, FaultPlan
+from repro.hw import events as ev
+from repro.hw import schedule
+from repro.io import save_samples_csv
+from repro.samples import SampleColumns
 from repro.sim.clock import ms, us
 from repro.tools.kleb import KLebTool
 from repro.tools.kleb.module import KLebModuleConfig
@@ -99,6 +105,33 @@ class TestRotation:
         last = eight.report.samples[-1]
         for name in EIGHT_EVENTS:
             assert name in last.values
+
+    def test_samples_are_columns_in_the_fixed_mux_schema(self, eight):
+        """Every row carries every fixed and every rotated event, so a
+        multiplexed session pools into the columnar ring like a
+        classic one."""
+        samples = eight.report.samples
+        rotated = schedule.plan_groups(EIGHT_EVENTS).rotated_names
+        assert isinstance(samples, SampleColumns)
+        assert samples.names == tuple(ev.FIXED_EVENTS) + rotated
+        assert len(samples) > 0
+
+    def test_rotated_columns_never_decrease(self, eight):
+        """Raw counts are cumulative: a descheduled group's columns
+        hold still, they never step back."""
+        samples = eight.report.samples
+        for name in schedule.plan_groups(EIGHT_EVENTS).rotated_names:
+            column = list(samples.column(name))
+            assert all(a <= b for a, b in zip(column, column[1:])), name
+            assert column[-1] > column[0], name
+
+    def test_csv_matches_materialized_rows(self, eight, tmp_path):
+        columnar = tmp_path / "columnar.csv"
+        rows = tmp_path / "rows.csv"
+        save_samples_csv(eight.report, columnar)
+        save_samples_csv(replace(eight.report,
+                                 samples=list(eight.report.samples)), rows)
+        assert columnar.read_bytes() == rows.read_bytes()
 
     def test_scaled_estimates_near_ground_truth(self, eight):
         """A uniform-rate workload: the estimate raw*(enabled/running)
