@@ -14,13 +14,18 @@ Usage::
 ``run`` executes one paper table/figure reproduction and prints the
 paper-style text output; ``monitor`` runs a single monitored trial and
 prints the report summary (handy for poking at the tools).
+
+``run`` and ``run-all`` exit with status 3 when quarantine left a
+headline number undefined (e.g. every K-LEB trial failed); the report,
+the fault ledger and any trace/metrics/flight artifacts are still
+written first.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.analysis.timeseries import deltas, find_gaps, samples_to_series
 from repro.errors import FaultError, PMUError, ToolError
@@ -43,6 +48,10 @@ _WORKLOADS = {
     "secret-printer": SecretPrinter,
     "meltdown": MeltdownAttack,
 }
+
+# Exit status of a run that completed but left a headline number
+# undefined (2 is argparse's usage-error status).
+EXIT_HEADLINE_UNDEFINED = 3
 
 # Experiments whose trial populations can fan out over worker
 # processes (the rest are single-run comparisons).
@@ -198,7 +207,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_experiment(experiment_id: str, seed: int,
                     runs: Optional[int], period_ms: Optional[float],
                     jobs: Optional[int] = None,
-                    faults: Optional[FaultPlan] = None) -> str:
+                    faults: Optional[FaultPlan] = None
+                    ) -> Tuple[str, List[str]]:
+    """Run one experiment; return its rendered output and the names of
+    the headline numbers it left undefined."""
     entry = EXPERIMENTS[experiment_id]
     kwargs = {"seed": seed}
     ledger: Optional[RunLedger] = None
@@ -228,7 +240,16 @@ def _run_experiment(experiment_id: str, seed: int,
     output = entry.render(result)
     if ledger is not None:
         output += "\n\n" + ledger.render()
-    return output
+    return output, entry.undefined_headlines(result)
+
+
+def _verdict(undefined: List[str]) -> int:
+    """Exit status for a completed run: non-zero when any headline
+    number is undefined."""
+    if not undefined:
+        return 0
+    print(f"headline undefined: {', '.join(undefined)}", file=sys.stderr)
+    return EXIT_HEADLINE_UNDEFINED
 
 
 def _cmd_list() -> int:
@@ -268,13 +289,15 @@ def _cmd_list_events(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    print(_run_experiment(args.experiment, args.seed, args.runs,
-                          args.period_ms, jobs=args.jobs,
-                          faults=args.faults))
-    return 0
+    output, undefined = _run_experiment(
+        args.experiment, args.seed, args.runs, args.period_ms,
+        jobs=args.jobs, faults=args.faults)
+    print(output)
+    return _verdict(undefined)
 
 
 def _cmd_run_all(args: argparse.Namespace) -> int:
+    undefined: List[str] = []
     for experiment_id, entry in EXPERIMENTS.items():
         kwargs = dict(_QUICK_KWARGS[experiment_id]) if args.quick else {}
         kwargs["seed"] = args.seed
@@ -287,11 +310,14 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
                 ledger = RunLedger()
                 kwargs["faults"] = args.faults
                 kwargs["fault_ledger"] = ledger
-        print(entry.render(entry.run(**kwargs)))
+        result = entry.run(**kwargs)
+        print(entry.render(result))
         if ledger is not None:
             print("\n" + ledger.render())
         print("\n" + "#" * 72 + "\n")
-    return 0
+        undefined += [f"{experiment_id}: {name}"
+                      for name in entry.undefined_headlines(result)]
+    return _verdict(undefined)
 
 
 def _cmd_monitor_smp(args: argparse.Namespace, program, events) -> int:
@@ -609,7 +635,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             from repro.obs import hooks as obs_hooks
 
             obs_hooks.reset()
-    if recorder is not None and status == 0:
+    if recorder is not None and status in (0, EXIT_HEADLINE_UNDEFINED):
         if args.trace:
             recorder.write_trace(args.trace)
             print(f"trace written to {args.trace}")

@@ -9,7 +9,7 @@ jumps from 7.52 to 27.53 on average.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.analysis.metrics import report_mpki
 from repro.experiments import report
@@ -76,6 +76,14 @@ def run(rounds: int = 20, period_ns: int = us(100), seed: int = 0,
         rounds=rounds,
         period_ns=period_ns,
     )
+
+
+def undefined_headlines(result: Fig6Result) -> List[str]:
+    """Headline numbers quarantine left undefined: the MPKI of each
+    program needs at least one surviving round."""
+    return [name for name, value in (("clean MPKI", result.clean_mpki),
+                                     ("attack MPKI", result.attack_mpki))
+            if value is None]
 
 
 def _ratio(clean: Optional[float], attack: Optional[float]) -> str:

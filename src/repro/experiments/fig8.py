@@ -39,6 +39,12 @@ class Fig8Result:
         spreads = {name: stats.spread for name, stats in self.boxes.items()}
         return dict(sorted(spreads.items(), key=lambda item: item[1]))
 
+    def tightest_monitored(self) -> Optional[str]:
+        """The monitored tool with the smallest spread (None when no
+        monitored population survived quarantine)."""
+        monitored = [name for name in self.spread_ranking() if name != "none"]
+        return monitored[0] if monitored else None
+
 
 def run(runs: int = 30, n: int = 1024, period_ns: int = ms(10),
         seed: int = 0,
@@ -68,6 +74,12 @@ def run(runs: int = 30, n: int = 1024, period_ns: int = ms(10),
                       quarantined=quarantined)
 
 
+def undefined_headlines(result: Fig8Result) -> List[str]:
+    """Headline numbers quarantine left undefined."""
+    return (["tightest monitored spread"]
+            if result.tightest_monitored() is None else [])
+
+
 def render(result: Fig8Result) -> str:
     rows = []
     for name, stats in result.boxes.items():
@@ -88,8 +100,7 @@ def render(result: Fig8Result) -> str:
         title=(f"Fig. 8 — normalized runtime distributions "
                f"({result.runs} runs)"),
     )
-    monitored = [name for name in result.spread_ranking() if name != "none"]
-    tightest = (monitored[0] if monitored
-                else "n/a (every monitored population quarantined)")
+    tightest = (result.tightest_monitored()
+                or "n/a (every monitored population quarantined)")
     return (f"{table}\n\ntightest monitored spread: {tightest} "
             "(paper: K-LEB has the smallest spread)")

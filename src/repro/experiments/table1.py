@@ -73,6 +73,13 @@ def run(trials: int = 10, problem_size: int = 5000,
     )
 
 
+def undefined_headlines(result: Table1Result) -> List[str]:
+    """Headline numbers quarantine left undefined: K-LEB's loss needs
+    a K-LEB and a baseline population."""
+    return (["K-LEB performance loss"]
+            if result.loss_percent["k-leb"] is None else [])
+
+
 def render(result: Table1Result) -> str:
     """Paper-style rows: GFLOPS and performance loss per tool."""
     headers = ["Profiling Tools"] + [_label(name) for name in TOOLS]

@@ -103,6 +103,12 @@ def summarize_tools(runs_data: Dict[str, ToolRuns]
     }
 
 
+def undefined_headlines(result: OverheadTableResult) -> List[str]:
+    """Headline numbers quarantine left undefined (Tables II and III)."""
+    return (["K-LEB vs next-best tool"]
+            if result.kleb_vs_next_best_percent is None else [])
+
+
 def _runtime_cell(wall_ns: List[float]) -> str:
     mean = report.mean_or_none(wall_ns)
     return report.format_cell(None if mean is None else mean / 1e9, ".4f")

@@ -9,11 +9,25 @@ being scripted.  The model implements:
 * ``clflush`` (needed by the Flush+Reload side channel);
 * per-access latency, used by the core to charge execution time;
 * the event increments each access produces for the PMU.
+
+Each set is a plain ``list`` of tags in LRU order, least recently used
+first and most recently used last.  A hit moves its tag to the end
+(``remove`` + ``append``); a miss fill evicts ``entries[0]`` only when
+the set already holds ``ways`` tags, then appends.  A flush or
+invalidate removes the tag and leaves no placeholder: the freed way is
+simply absent (a hole in the LRU stack), so the next fill into that
+set takes it without evicting anything.  Sets hold at most 8-16 tags,
+so the linear scans behind ``in``/``remove`` run in C and cost less
+than the hashing and linked-list upkeep of an ordered dict; the replay
+walk is per op (each op's outcome decides the next level's probe and
+the budget cut), which is also why per-set numpy tag/age arrays would
+lose: a numpy scalar index per op costs more than the whole scan.
+:meth:`repro.hw.core.Core._run_trace` mutates these lists directly
+with the same rules.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -62,13 +76,15 @@ class AccessResult:
 
 
 class CacheLevel:
-    """One set-associative, LRU-replacement cache level."""
+    """One set-associative, LRU-replacement cache level.
+
+    ``_sets[i]`` is set ``i``'s tag list, LRU first and MRU last, never
+    longer than ``config.ways`` (see the module docstring).
+    """
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
-        self._sets: List["OrderedDict[int, bool]"] = [
-            OrderedDict() for _ in range(config.num_sets)
-        ]
+        self._sets: List[List[int]] = [[] for _ in range(config.num_sets)]
         self._set_mask = config.num_sets - 1
         self._line_shift = config.line_bytes.bit_length() - 1
         self._tag_shift = self._set_mask.bit_length()
@@ -84,27 +100,35 @@ class CacheLevel:
         set_index, tag = self._locate(address)
         entries = self._sets[set_index]
         if tag in entries:
-            entries.move_to_end(tag)
+            entries.remove(tag)
+            entries.append(tag)
             self.hits += 1
             return True
         self.misses += 1
         return False
 
     def fill(self, address: int) -> Optional[int]:
-        """Install the line for ``address``; return the evicted tag, if any."""
+        """Install the line for ``address``; return the evicted tag, if any.
+
+        Filling a resident tag only refreshes it to MRU."""
         set_index, tag = self._locate(address)
         entries = self._sets[set_index]
         evicted = None
-        if tag not in entries and len(entries) >= self.config.ways:
-            evicted, _ = entries.popitem(last=False)
-        entries[tag] = True
-        entries.move_to_end(tag)
+        if tag in entries:
+            entries.remove(tag)
+        elif len(entries) >= self.config.ways:
+            evicted = entries.pop(0)
+        entries.append(tag)
         return evicted
 
     def invalidate(self, address: int) -> bool:
         """Drop the line holding ``address``; True if it was present."""
         set_index, tag = self._locate(address)
-        return self._sets[set_index].pop(tag, None) is not None
+        entries = self._sets[set_index]
+        if tag in entries:
+            entries.remove(tag)
+            return True
+        return False
 
     def contains(self, address: int) -> bool:
         """Non-perturbing presence check (does not update LRU or stats)."""
@@ -172,7 +196,7 @@ class CacheHierarchy:
         # Flattened per-level geometry for the hot path: probing through
         # these tuples avoids the chain of attribute loads per access.
         # Levels are fixed after construction (flush_all clears the set
-        # dicts in place), so this never goes stale.
+        # lists in place), so this never goes stale.
         self._descriptors = tuple(
             (level, level._line_shift, level._set_mask, level._tag_shift,
              level._sets, level.config.ways, level.config.name)
@@ -242,7 +266,10 @@ class CacheHierarchy:
         for _level, line_shift, set_mask, tag_shift, sets, _ways, _name in \
                 self._descriptors:
             line = address >> line_shift
-            sets[line & set_mask].pop(line >> tag_shift, None)
+            entries = sets[line & set_mask]
+            tag = line >> tag_shift
+            if tag in entries:
+                entries.remove(tag)
 
     def contains(self, address: int) -> Optional[str]:
         """Name of the first level holding ``address`` (non-perturbing)."""

@@ -342,8 +342,8 @@ class Core:
             if cat == 1 and p == start:
                 # Resuming mid-run: the predecessor ran in an earlier
                 # slice and another program may have touched the line
-                # since, so probe.  If the line is still MRU the probe's
-                # move_to_end is order-neutral.
+                # since, so probe.  If the line is still MRU, the hit's
+                # remove-and-append leaves the set's order unchanged.
                 cat = 0
             elif cat == 3:
                 # Only ops whose covering flush executed inside *this*
@@ -363,37 +363,40 @@ class Core:
                     tag1 = tg1[p]
                     entries1 = sets1[se1[p]]
                     if tag1 in entries1:
-                        entries1.move_to_end(tag1)
+                        entries1.remove(tag1)
+                        entries1.append(tag1)
                         l1h += 1
                         cycles += cost_mru
                     else:
                         l1m += 1
                         if len(entries1) >= w1:
-                            entries1.popitem(last=False)
-                        entries1[tag1] = True
+                            del entries1[0]
+                        entries1.append(tag1)
                         tag2 = tg2[p]
                         entries2 = sets2[se2[p]]
                         if tag2 in entries2:
-                            entries2.move_to_end(tag2)
+                            entries2.remove(tag2)
+                            entries2.append(tag2)
                             l2h += 1
                             cycles += cost_l2
                         else:
                             l2m += 1
                             if len(entries2) >= w2:
-                                entries2.popitem(last=False)
-                            entries2[tag2] = True
+                                del entries2[0]
+                            entries2.append(tag2)
                             tag3 = tg3[p]
                             entries3 = sets3[se3[p]]
                             if tag3 in entries3:
-                                entries3.move_to_end(tag3)
+                                entries3.remove(tag3)
+                                entries3.append(tag3)
                                 l3h += 1
                                 cycles += cost_l3
                             else:
                                 l3m += 1
                                 cycles += cost_miss
                                 if len(entries3) >= w3:
-                                    entries3.popitem(last=False)
-                                entries3[tag3] = True
+                                    del entries3[0]
+                                entries3.append(tag3)
                                 if prefetch:
                                     # After the demand fills, as in
                                     # CacheHierarchy.access.
@@ -428,9 +431,16 @@ class Core:
                 for si1, ti1, si2, ti2, si3, ti3 in zip(
                         se1[p:stop], tg1[p:stop], se2[p:stop], tg2[p:stop],
                         se3[p:stop], tg3[p:stop]):
-                    sets1[si1].pop(ti1, None)
-                    sets2[si2].pop(ti2, None)
-                    sets3[si3].pop(ti3, None)
+                    # The freed way stays a hole: no placeholder tag.
+                    entries1 = sets1[si1]
+                    if ti1 in entries1:
+                        entries1.remove(ti1)
+                    entries2 = sets2[si2]
+                    if ti2 in entries2:
+                        entries2.remove(ti2)
+                    entries3 = sets3[si3]
+                    if ti3 in entries3:
+                        entries3.remove(ti3)
             else:
                 # Guaranteed-miss run: every op misses L1/L2/L3 and
                 # fills every level, so the membership probes are
@@ -442,16 +452,16 @@ class Core:
                         se1[p:stop], tg1[p:stop]):
                     entries3 = sets3[si3]
                     if len(entries3) >= w3:
-                        entries3.popitem(last=False)
-                    entries3[ti3] = True
+                        del entries3[0]
+                    entries3.append(ti3)
                     entries2 = sets2[si2]
                     if len(entries2) >= w2:
-                        entries2.popitem(last=False)
-                    entries2[ti2] = True
+                        del entries2[0]
+                    entries2.append(ti2)
                     entries1 = sets1[si1]
                     if len(entries1) >= w1:
-                        entries1.popitem(last=False)
-                    entries1[ti1] = True
+                        del entries1[0]
+                    entries1.append(ti1)
                 l1m += n
                 l2m += n
                 l3m += n

@@ -79,21 +79,30 @@ class TestQuarantinedCells:
 
         gflops = {name: None for name in table1.TOOLS}
         gflops["k-leb"] = 37.0
-        text = table1.render(table1.Table1Result(
+        result = table1.Table1Result(
             gflops=gflops, loss_percent={name: None for name in gflops},
-            trials=3, problem_size=100, period_ns=10_000_000))
+            trials=3, problem_size=100, period_ns=10_000_000)
+        text = table1.render(result)
         assert "37.00" in text and QUARANTINED in text
         assert "nan" not in text
+        assert table1.undefined_headlines(result) == ["K-LEB performance loss"]
+        result.loss_percent["k-leb"] = 0.5
+        assert table1.undefined_headlines(result) == []
 
     def test_fig6(self):
         from repro.experiments import fig6
 
         means = {event: None for event in fig6.EVENTS}
-        text = fig6.render(fig6.Fig6Result(
+        result = fig6.Fig6Result(
             clean_means=means, attack_means=means, clean_mpki=None,
             attack_mpki=None, clean_samples_mean=None,
-            attack_samples_mean=None, rounds=3, period_ns=100_000))
+            attack_samples_mean=None, rounds=3, period_ns=100_000)
+        text = fig6.render(result)
         assert QUARANTINED in text and "nan" not in text
+        assert fig6.undefined_headlines(result) == ["clean MPKI",
+                                                    "attack MPKI"]
+        result.clean_mpki = 7.5
+        assert fig6.undefined_headlines(result) == ["attack MPKI"]
 
     def test_table2_with_empty_populations(self):
         from repro.experiments import table2
@@ -106,6 +115,8 @@ class TestQuarantinedCells:
             runs_data=runs_data, runs=1, period_ns=10_000_000)
         assert result.stats == {}
         assert result.kleb_vs_next_best_percent is None
+        assert table2.undefined_headlines(result) == [
+            "K-LEB vs next-best tool"]
         text = table2.render(result)
         assert "2.0000" in text and QUARANTINED in text
         assert "nan" not in text
@@ -140,3 +151,5 @@ class TestQuarantinedCells:
         tightest = ("k-leb" if "k-leb" in result.boxes
                     else "n/a (every monitored population quarantined)")
         assert f"tightest monitored spread: {tightest} " in text
+        assert fig8.undefined_headlines(result) == (
+            [] if "k-leb" in result.boxes else ["tightest monitored spread"])

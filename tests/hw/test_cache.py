@@ -89,6 +89,35 @@ class TestLevelLru:
         assert not level.contains(0)
         assert not level.invalidate(0)  # second time: not present
 
+    def test_refill_of_resident_tag_refreshes_without_evicting(self):
+        level = CacheLevel(CacheConfig("L1D", 4 * LINE, ways=2))
+        level.fill(0 * LINE)
+        level.fill(2 * LINE)
+        assert level.fill(0 * LINE) is None   # already resident
+        assert level.occupancy == 2
+        level.fill(4 * LINE)                  # evicts 2*LINE, not 0
+        assert level.contains(0 * LINE)
+        assert not level.contains(2 * LINE)
+
+    def test_invalidate_frees_a_way(self):
+        level = CacheLevel(CacheConfig("L1D", 4 * LINE, ways=2))
+        level.fill(0 * LINE)
+        level.fill(2 * LINE)
+        assert level.invalidate(0 * LINE)
+        assert level.fill(4 * LINE) is None   # takes the freed way
+        assert level.contains(2 * LINE)
+        assert level.contains(4 * LINE)
+
+    def test_contains_does_not_perturb_lru(self):
+        level = CacheLevel(CacheConfig("L1D", 4 * LINE, ways=2))
+        level.fill(0 * LINE)
+        level.fill(2 * LINE)
+        assert level.contains(0 * LINE)       # no refresh: 0 stays LRU
+        assert (level.hits, level.misses) == (0, 0)
+        level.fill(4 * LINE)
+        assert not level.contains(0 * LINE)
+        assert level.contains(2 * LINE)
+
     def test_occupancy(self):
         level = CacheLevel(CacheConfig("L1D", 4 * LINE, ways=2))
         assert level.occupancy == 0

@@ -1,8 +1,10 @@
 """Property-based tests for the cache hierarchy."""
 
+from collections import OrderedDict
+
 from hypothesis import given, settings, strategies as st
 
-from repro.hw.cache import CacheConfig, CacheHierarchy
+from repro.hw.cache import CacheConfig, CacheHierarchy, CacheLevel
 from repro.hw.core import Core, ExecStop
 from repro.hw.pmu import Pmu
 from repro.workloads.base import BlockCursor, ListProgram, Trace, TraceBlock
@@ -115,3 +117,92 @@ class TestCacheInvariants:
         hierarchy.flush_all()
         for level in hierarchy.levels:
             assert level.occupancy == 0
+
+
+class OrderedDictLru:
+    """Reference LRU level: one ``OrderedDict`` per set, oldest first.
+
+    The straightforward model :class:`CacheLevel`'s tag lists must
+    reproduce call for call."""
+
+    def __init__(self, config):
+        self.ways = config.ways
+        self.num_sets = config.num_sets
+        self.line_bytes = config.line_bytes
+        self.sets = [OrderedDict() for _ in range(config.num_sets)]
+        self.hits = 0
+        self.misses = 0
+
+    def _locate(self, address):
+        line = address // self.line_bytes
+        return self.sets[line % self.num_sets], line // self.num_sets
+
+    def lookup(self, address):
+        entries, tag = self._locate(address)
+        if tag in entries:
+            entries.move_to_end(tag)
+            self.hits += 1
+            return True
+        self.misses += 1
+        return False
+
+    def fill(self, address):
+        entries, tag = self._locate(address)
+        evicted = None
+        if tag not in entries and len(entries) >= self.ways:
+            evicted, _ = entries.popitem(last=False)
+        entries[tag] = True
+        entries.move_to_end(tag)
+        return evicted
+
+    def invalidate(self, address):
+        entries, tag = self._locate(address)
+        return entries.pop(tag, None) is not None
+
+    def contains(self, address):
+        entries, tag = self._locate(address)
+        return tag in entries
+
+    def flush_all(self):
+        for entries in self.sets:
+            entries.clear()
+
+
+@st.composite
+def lru_scenarios(draw):
+    """A small geometry (one set, or 2-4 sets of 1-4 ways) and a random
+    operation sequence over few enough lines to force evictions."""
+    num_sets = draw(st.sampled_from([1, 2, 4]))
+    ways = draw(st.integers(min_value=1, max_value=8 if num_sets == 1 else 4))
+    config = CacheConfig("L", num_sets * ways * LINE, ways=ways)
+    lines = 3 * num_sets * ways
+    op = st.tuples(
+        st.sampled_from(["lookup", "fill", "invalidate", "contains",
+                         "flush_all"]),
+        st.integers(min_value=0, max_value=lines - 1),
+        st.integers(min_value=0, max_value=LINE - 1),
+    )
+    ops = draw(st.lists(op, min_size=1, max_size=120))
+    return config, ops
+
+
+class TestLruMatchesOrderedDictReference:
+    @given(lru_scenarios())
+    @settings(max_examples=200, deadline=None)
+    def test_every_return_value_and_set_order_agree(self, scenario):
+        config, ops = scenario
+        level = CacheLevel(config)
+        reference = OrderedDictLru(config)
+        for name, line, offset in ops:
+            if name == "flush_all":
+                level.flush_all()
+                reference.flush_all()
+            else:
+                address = line * LINE + offset
+                assert getattr(level, name)(address) == \
+                    getattr(reference, name)(address), (name, address)
+            assert (level.hits, level.misses) == \
+                (reference.hits, reference.misses)
+            assert level._sets == [list(entries)
+                                   for entries in reference.sets]
+        assert level.occupancy == sum(len(e) for e in reference.sets)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import EXIT_HEADLINE_UNDEFINED, main
 
 
 class TestList:
@@ -196,6 +196,62 @@ class TestRun:
         assert "adaptive dominates" in out
 
 
+class TestUndefinedHeadline:
+    """A run that completes with a headline number undefined (every
+    trial of a population quarantined) exits non-zero, after the report,
+    the fault ledger and the artifacts are written."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("experiment, headline", [
+        ("table1", "K-LEB performance loss"),
+        ("table2", "K-LEB vs next-best tool"),
+        ("fig6", "clean MPKI, attack MPKI"),
+        ("fig8", "tightest monitored spread"),
+    ])
+    def test_all_quarantined_run(self, capsys, tmp_path, experiment,
+                                 headline):
+        trace = tmp_path / "t.json"
+        metrics = tmp_path / "m.prom"
+        flight = tmp_path / "q.flight.json"
+        assert main(["run", experiment, "--runs", "2", "--jobs", "1",
+                     "--faults", "seed=3,persistent=1.0",
+                     "--trace", str(trace), "--metrics", str(metrics),
+                     "--flight", str(flight)]) == EXIT_HEADLINE_UNDEFINED
+        captured = capsys.readouterr()
+        assert "n=0 (quarantined)" in captured.out
+        assert "Fault ledger" in captured.out
+        assert "nan" not in captured.out
+        assert f"headline undefined: {headline}" in captured.err
+        for path in (trace, metrics, flight):
+            assert f"written to {path}" in captured.out
+            assert path.stat().st_size > 0
+
+    def test_run_all_collects_every_undefined_headline(self, capsys,
+                                                       monkeypatch):
+        from repro import cli
+        from repro.experiments import ExperimentEntry
+
+        def entry(experiment_id, undefined):
+            return ExperimentEntry(
+                experiment_id, "stub", run=lambda **kwargs: experiment_id,
+                render=lambda result: f"rendered {result}",
+                undefined_headlines=lambda result: list(undefined))
+
+        stubs = {"a": entry("a", []), "b": entry("b", ["x", "y"]),
+                 "c": entry("c", [])}
+        monkeypatch.setattr(cli, "EXPERIMENTS", stubs)
+        monkeypatch.setattr(cli, "_QUICK_KWARGS",
+                            {name: {} for name in stubs})
+        assert main(["run-all", "--quick"]) == EXIT_HEADLINE_UNDEFINED
+        captured = capsys.readouterr()
+        assert all(f"rendered {name}" in captured.out for name in stubs)
+        assert "headline undefined: b: x, b: y" in captured.err
+
+        stubs["b"] = entry("b", [])
+        assert main(["run-all", "--quick"]) == 0
+        assert "headline undefined" not in capsys.readouterr().err
+
+
 class TestLivePlane:
     def test_live_serves_and_report_is_clean(self, capsys, monkeypatch,
                                              tmp_path):
@@ -279,7 +335,9 @@ class TestLivePlane:
     def test_flight_dump_on_quarantine(self, capsys, tmp_path):
         """A quarantined trial triggers a mid-run flight dump (later
         overwritten by the run-end dump only if the run finishes; the
-        quarantine reason must have been written at some point)."""
+        quarantine reason must have been written at some point).  This
+        plan quarantines all 12 trials, so K-LEB's loss is undefined
+        and the run exits non-zero after the run-end dump."""
         import json
 
         from repro.obs.live import flight as flight_module
@@ -296,7 +354,8 @@ class TestLivePlane:
             flight_module.FlightRecorder.write = spy_write
             assert main(["run", "table1", "--runs", "3", "--jobs", "1",
                          "--faults", "seed=11,persistent=0.9",
-                         "--flight", str(flight_path)]) == 0
+                         "--flight", str(flight_path)]) \
+                == EXIT_HEADLINE_UNDEFINED
         finally:
             flight_module.FlightRecorder.write = original_write
         assert any(reason.startswith("quarantine:trial-")
