@@ -69,11 +69,12 @@ def bench_calibration(iters: int = 2_000_000) -> Dict[str, float]:
 
 
 def bench_pmu_accumulate(iters: int) -> Dict[str, float]:
-    """``Pmu.accumulate`` with a realistic counter programming.
+    """``Pmu.accumulate``, the mapping adapter over ``accumulate_epoch``.
 
     Three fixed counters plus four programmable events, alternating
-    user/kernel slices — the exact shape every execution slice feeds
-    the PMU.
+    user/kernel slices.  Each call turns the dict into a name tuple and
+    a value tuple before the compiled apply list runs, so the gap to
+    ``bench_pmu_epoch_accumulate`` is the adapter's own cost.
     """
     pmu = Pmu()
     pmu.enable_fixed(user=True, kernel=False)
@@ -107,11 +108,11 @@ def bench_pmu_accumulate(iters: int) -> Dict[str, float]:
 
 
 def bench_pmu_epoch_accumulate(iters: int) -> Dict[str, float]:
-    """``Pmu.accumulate_epoch`` — the batch replay path's fused delivery.
+    """``Pmu.accumulate_epoch`` — the one count-delivery path.
 
     Same programming as ``bench_pmu_accumulate``, but each slice lands
-    as one name-tuple/value-row call (the shape ``Core._run_trace``
-    produces), so the compiled apply-list fast path is what's measured.
+    as one name-tuple/value-row call (the shape the core and kernel
+    deliver), so the compiled apply-list fast path is what's measured.
     """
     pmu = Pmu()
     pmu.enable_fixed(user=True, kernel=False)

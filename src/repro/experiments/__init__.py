@@ -69,7 +69,7 @@ EXPERIMENTS: Dict[str, ExperimentEntry] = {
         ),
         ExperimentEntry(
             "fig4", "LINPACK phase behaviour time series",
-            fig4.run, fig4.render,
+            fig4.run, fig4.render, fig4.undefined_headlines,
         ),
         ExperimentEntry(
             "fig5", "Docker image LLC MPKI classification",

@@ -32,9 +32,10 @@ EVENTS = ("ARITH_MUL", "LOADS", "STORES")
 
 @dataclass
 class Fig4Result:
-    """Averaged K-LEB series over the LINPACK run, plus detected phases."""
+    """Averaged K-LEB series over the LINPACK run, plus detected phases
+    (no series and no phases when every trial was quarantined)."""
 
-    series: EventSeries          # per-interval deltas, trial-averaged
+    series: Optional[EventSeries]  # per-interval deltas, trial-averaged
     segments: List[PhaseSegment]
     trials: int
     period_ns: int
@@ -61,10 +62,13 @@ def run(trials: int = 10, problem_size: int = 5000,
         deltas(samples_to_series(result.report.samples))
         for result in results
     ]
-    averaged = average_series(per_trial, bucket_ns=period_ns)
-    segments = merge_short_segments(
-        detect_phases(averaged, EVENTS, smooth_window=5), min_length=3
-    )
+    averaged: Optional[EventSeries] = None
+    segments: List[PhaseSegment] = []
+    if per_trial:
+        averaged = average_series(per_trial, bucket_ns=period_ns)
+        segments = merge_short_segments(
+            detect_phases(averaged, EVENTS, smooth_window=5), min_length=3
+        )
     return Fig4Result(
         series=averaged,
         segments=segments,
@@ -73,17 +77,30 @@ def run(trials: int = 10, problem_size: int = 5000,
     )
 
 
+def undefined_headlines(result: Fig4Result) -> List[str]:
+    """Headline numbers quarantine left undefined: the phase series
+    needs at least one surviving trial."""
+    return ["LINPACK phase series"] if result.series is None else []
+
+
 def render(result: Fig4Result) -> str:
+    series = result.series
+    length = (report.QUARANTINED if series is None
+              else f"{len(series)} samples")
     lines = [
         f"Fig. 4 — LINPACK hardware-counter series "
         f"({result.trials}-trial average, "
-        f"{result.period_ns // 1_000_000} ms samples, "
-        f"{len(result.series)} samples)",
+        f"{result.period_ns // 1_000_000} ms samples, {length})",
         "",
     ]
     for name in EVENTS:
-        lines.append(f"{name:10s} {report.sparkline(result.series.event(name))}")
+        line = (report.QUARANTINED if series is None
+                else report.sparkline(series.event(name)))
+        lines.append(f"{name:10s} {line}")
     lines.append("")
+    if series is None:
+        lines.append(f"{'phases':10s} {report.QUARANTINED}")
+        return "\n".join(lines)
     rows = [
         [segment.label, str(segment.start_index), str(segment.end_index),
          f"{(segment.end_ns - segment.start_ns) / 1e6:.0f} ms"]

@@ -11,7 +11,7 @@ from repro.hw.events import (Event, EventKind, EVENT_CATALOGUE, FIXED_EVENTS,
                              build_catalogue, events_by_kind)
 from repro.hw.msr import MsrFile, MSR
 from repro.hw.schedule import CounterAssignment, assign_counters, plan_groups
-from repro.hw.pmu import Pmu, CounterSnapshot, NUM_PROGRAMMABLE, NUM_FIXED
+from repro.hw.pmu import Pmu, NUM_PROGRAMMABLE, NUM_FIXED
 from repro.hw.cache import CacheConfig, CacheLevel, CacheHierarchy, AccessResult
 from repro.hw.core import Core, ExecResult, ExecStop
 from repro.hw.machine import Machine, MachineConfig
@@ -30,7 +30,6 @@ __all__ = [
     "MsrFile",
     "MSR",
     "Pmu",
-    "CounterSnapshot",
     "NUM_PROGRAMMABLE",
     "NUM_FIXED",
     "CacheConfig",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -40,6 +40,11 @@ from repro.workloads.base import (
 
 _FLUSH_LATENCY_CYCLES = 40
 _EPSILON_NS = 1e-6
+
+# Leading columns of a rate slice's epoch accumulation; the block's own
+# rated events follow in ``rates`` order (RateBlock rejects these three
+# names in ``rates``, so every name is delivered once).
+_RATE_EVENTS = ("INST_RETIRED", "CORE_CYCLES", "REF_CYCLES")
 
 # Column order of the per-slice epoch accumulation: retirement and
 # time, the memory-instruction mix, then the cache events from L1 out.
@@ -269,13 +274,12 @@ class Core:
             cursor.consume_instructions(block.instructions)
             return 0.0, 0.0
         cycles = take * block.cpi
-        events: Dict[str, float] = {
-            name: rate * take for name, rate in block.rates.items()
-        }
-        events["INST_RETIRED"] = take
-        events["CORE_CYCLES"] = cycles
-        events["REF_CYCLES"] = cycles * self.tsc_ratio
-        self.pmu.accumulate(events, block.privilege)
+        rates = block.rates
+        self.pmu.accumulate_epoch(
+            _RATE_EVENTS + tuple(rates),
+            [take, cycles, cycles * self.tsc_ratio]
+            + [rate * take for rate in rates.values()],
+            block.privilege)
         cursor.consume_instructions(take)
         return self.cycles_to_ns(cycles), take
 

@@ -11,15 +11,15 @@ Tools program the PMU through :meth:`Pmu.wrmsr` / :meth:`Pmu.rdmsr`
 exactly as a driver would; :meth:`Pmu.rdpmc` models the unprivileged
 fast-read instruction LiMiT uses from user space.
 
-Counts are delivered by the simulated core via :meth:`accumulate`.
-Internally counters keep fractional accumulators (rate-based workload
-blocks may contribute fractional events for a partial slice); reads
-expose the floored integer value, as hardware would.
+Counts are delivered by the simulated core and kernel via
+:meth:`accumulate_epoch`.  Internally counters keep fractional
+accumulators (rate-based workload blocks may contribute fractional
+events for a partial slice); reads expose the floored integer value, as
+hardware would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import PMUError
@@ -70,16 +70,6 @@ _CompiledPlan = Tuple[
     Dict[Tuple[str, ...], List[Tuple[int, bool, int]]],
     Dict[Tuple[str, ...], List[Tuple[int, bool, int]]],
 ]
-
-
-@dataclass(frozen=True)
-class CounterSnapshot:
-    """Point-in-time values of every counter, keyed by event name."""
-
-    timestamp: int
-    fixed: Tuple[int, ...]
-    programmable: Tuple[int, ...]
-    by_event: Dict[str, int]
 
 
 class Pmu:
@@ -267,15 +257,16 @@ class Pmu:
     def _compile_plan(self) -> None:
         """Decode the control registers into per-privilege lookup plans.
 
-        ``accumulate`` runs once per execution slice — hundreds of
+        ``accumulate_epoch`` runs once per execution slice — hundreds of
         thousands of times per experiment — while the registers change
         only when a tool reprograms the PMU.  The plan maps event name
-        directly to the counters that count it in each ring, so the hot
-        path is a dict lookup plus float adds.  The plan is keyed on
-        ``MsrFile.version`` and revalidated on any register write; a
-        previously-seen control-register signature (global enable
-        toggles, multiplex group rotation) reinstalls its cached plan
-        without re-deriving it.
+        directly to the counters that count it in each ring, and each
+        event-name tuple delivered against it compiles once into a flat
+        apply list.  The plan is keyed on ``MsrFile.version`` and
+        revalidated on any register write; a previously-seen
+        control-register signature (global enable toggles, multiplex
+        group rotation) reinstalls its cached plan without re-deriving
+        it.
         """
         msrs = self.msrs
         version = msrs.version
@@ -339,72 +330,38 @@ class Pmu:
                                        self._epoch_user, self._epoch_kernel)
 
     def accumulate(self, counts: Mapping[str, float], privilege: str) -> None:
-        """Add event occurrences observed during an execution slice.
+        """Mapping form of :meth:`accumulate_epoch`.
 
-        Args:
-            counts: event name -> (possibly fractional) occurrence count.
-            privilege: ``"user"`` or ``"kernel"`` — which ring the slice
-                executed in; counters whose privilege mask excludes the
-                ring ignore the contribution.
-
-        Bit-identical to walking the registers per call: each counter is
-        programmed with exactly one event, so it receives at most one
-        add per call, and the deferred overflow sweep visits counters in
-        the same canonical order (fixed 32..34, programmable 0..3) the
-        register walk did.
+        ``counts`` maps event name -> (possibly fractional) occurrence
+        count; an empty mapping is a no-op.
         """
-        if privilege == "user":
-            plan = self._plan_user
-        elif privilege == "kernel":
-            plan = self._plan_kernel
-        else:
+        if counts:
+            self.accumulate_epoch(tuple(counts), tuple(counts.values()),
+                                  privilege)
+        elif privilege not in ("user", "kernel"):
             raise PMUError(f"invalid privilege {privilege!r}")
-        if self._plan_version != self.msrs.version:
-            self._compile_plan()
-            plan = self._plan_user if privilege == "user" else self._plan_kernel
-        if not self._counting or not counts:
-            return
-
-        fixed = self._fixed
-        pmc = self._pmc
-        wrapped = False
-        for name, amount in counts.items():
-            targets = plan.get(name)
-            if targets is None or amount <= 0.0:
-                continue
-            for is_fixed, index in targets:
-                if is_fixed:
-                    value = fixed[index] + amount
-                    fixed[index] = value
-                else:
-                    value = pmc[index] + amount
-                    pmc[index] = value
-                if value >= _COUNTER_WRAP:
-                    wrapped = True
-        if wrapped:
-            self._sweep_overflow()
-        if self._pending_overflow and self._overflow_handler is not None:
-            pending, self._pending_overflow = self._pending_overflow, []
-            # PMI delivery happens at slice granularity — the analogue of
-            # real PMU interrupt skid.
-            self._overflow_handler(pending)
 
     def accumulate_epoch(self, names: Tuple[str, ...], values,
                          privilege: str) -> None:
-        """Fused accumulation of a whole execution epoch.
+        """Add the event occurrences of one execution slice.
 
-        The batch replay path delivers every event of a slice at once:
-        ``names`` is a (stable, hashable) event-name tuple and
-        ``values`` the aligned occurrence counts.  The name tuple is
-        compiled once per control-register signature into a flat apply
-        list ``[(value index, is_fixed, counter index)]`` — cached on
-        the plan-cache entry, so multiplex rotation and enable toggles
-        reinstall it — and the hot path is a single list walk with
-        float adds.  Semantically identical to :meth:`accumulate` with
-        ``dict(zip(names, values))``: zero and negative amounts are
-        skipped the same way, each counter is programmed with exactly
-        one event so it still receives at most one add per call, and
-        the overflow sweep and PMI delivery share the same tail.
+        The one count-delivery path.  ``names`` is a hashable tuple of
+        distinct event names and ``values`` the aligned (possibly
+        fractional) occurrence counts; ``privilege`` (``"user"`` or
+        ``"kernel"``) is the ring the slice executed in, and counters
+        whose privilege mask excludes it ignore the contribution.  Zero
+        and negative amounts are skipped.
+
+        The name tuple is compiled once per control-register signature
+        into a flat apply list ``[(value index, is_fixed, counter
+        index)]`` — cached on the plan-cache entry, so multiplex
+        rotation and enable toggles reinstall it — and the hot path is
+        a single list walk with float adds.  Each counter is programmed
+        with exactly one event, so it receives at most one add per
+        call; the deferred overflow sweep then visits counters in the
+        canonical order (fixed 32..34, programmable 0..3) and PMIs are
+        delivered at slice granularity, the analogue of real PMU
+        interrupt skid.
         """
         if privilege == "user":
             plan = self._plan_user
@@ -490,33 +447,21 @@ class Pmu:
             raise IndexError(f"no programmable counter {index}")
         return self._counter_names[index]
 
-    def snapshot(self, timestamp: int) -> CounterSnapshot:
-        """Read every counter at once (what a sampling interrupt does)."""
-        by_event: Dict[str, int] = {}
-        for index, event_name in enumerate(ev.FIXED_EVENTS):
-            by_event[event_name] = int(self._fixed[index])
-        for index in range(NUM_PROGRAMMABLE):
-            name = self.counter_event(index)
-            if name is not None:
-                by_event[name] = int(self._pmc[index])
-        return CounterSnapshot(
-            timestamp=timestamp,
-            fixed=tuple(int(value) for value in self._fixed),
-            programmable=tuple(int(value) for value in self._pmc),
-            by_event=by_event,
-        )
+    def snapshot(self) -> Dict[str, int]:
+        """Read every counter at once as event name -> value."""
+        return dict(zip(*self.counter_row()))
 
     def counter_row(self) -> Tuple[Tuple[str, ...], List[int]]:
-        """Read every counter as a fixed-order row (columnar hot path).
+        """Read every counter as a fixed-order row (the one counter read).
 
-        Returns ``(names, values)`` where ``names`` matches the key
-        order of :meth:`snapshot`'s ``by_event`` dict for the current
-        programmed layout and ``values`` the floored integer counter
-        values — including dict semantics for a degenerate layout that
-        programs one event on two counters (first occurrence fixes the
-        position, the last counter supplies the value).  The name tuple
-        is stable across calls while programming is unchanged, so
-        callers can key a columnar ring schema on it.
+        Returns ``(names, values)``: the fixed events in counter order,
+        then each enabled programmable counter's event in index order,
+        with ``values`` the floored integer counter values.  An event
+        counted twice (one event on two programmable counters, or a
+        fixed event programmed on a PMC) appears once, at its first
+        position, valued from the last counter that counts it.  The
+        name tuple is stable across calls while programming is
+        unchanged, so callers can key a columnar ring schema on it.
         """
         if self._plan_version != self.msrs.version:
             self._compile_plan()

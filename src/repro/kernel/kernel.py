@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import KernelError, ModuleError, ProcessError, SyscallError
 from repro.faults.inject import FaultInjector
@@ -54,8 +54,9 @@ class Kernel:
         # stock kernel has none — that is K-LEB's deployment advantage).
         self.patches = set(patches or [])
         self.syscall_counts: Counter = Counter()
-        # Memoized duration -> event-count dicts for charge_kernel_time.
-        self._charge_cache: Dict[int, Dict[str, float]] = {}
+        # Memoized duration -> (event names, counts) for charge_kernel_time.
+        self._charge_cache: Dict[int, Tuple[Tuple[str, ...],
+                                            Tuple[float, ...]]] = {}
         self._next_pid = 1000
         self._wake_rng = self.rng.stream("wakeup-latency")
         self._noise_rng = self.rng.stream("os-noise")
@@ -159,15 +160,16 @@ class Kernel:
         (immutable) kernel config and core timing, and the durations
         are a handful of fixed costs (IRQ entry/exit, context switch,
         syscall entry) charged hundreds of thousands of times per run —
-        so the computed dicts are memoized per duration.  The cache is
-        bounded: randomized durations (OS noise bursts) stop being
-        cached past the cap rather than growing without limit.
+        so the computed event names and counts are memoized per
+        duration.  The cache is bounded: randomized durations (OS noise
+        bursts) stop being cached past the cap rather than growing
+        without limit.
         """
         if duration_ns <= 0:
             return
         cache = self._charge_cache
-        events = cache.get(duration_ns)
-        if events is None:
+        epoch = cache.get(duration_ns)
+        if epoch is None:
             core = self.machine.core
             cycles = core.ns_to_cycles(duration_ns)
             instructions = cycles / self.config.kernel_work_cpi
@@ -178,9 +180,10 @@ class Kernel:
             events["INST_RETIRED"] = instructions
             events["CORE_CYCLES"] = cycles
             events["REF_CYCLES"] = cycles * core.tsc_ratio
+            epoch = (tuple(events), tuple(events.values()))
             if len(cache) < 1024:
-                cache[duration_ns] = events
-        self.pmu.accumulate(events, "kernel")
+                cache[duration_ns] = epoch
+        self.pmu.accumulate_epoch(*epoch, "kernel")
         self.clock.advance(duration_ns)
 
     def run_interrupt(self, handler: Callable[[], None],

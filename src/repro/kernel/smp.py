@@ -94,9 +94,7 @@ class SmpCluster:
         self.topology = Topology(sockets=sockets,
                                  cores_per_socket=cores // sockets)
         self.smp = SmpMachine(config, self.topology)
-        # Back-compat alias: the (first) socket's shared LLC.
         self.llcs = self.smp.llcs
-        self.shared_llc = self.llcs[0]
         self.uncores = self.smp.uncores
         self.kernels: List[Kernel] = []
         base_rng = RngStreams(seed)

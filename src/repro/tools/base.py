@@ -178,9 +178,7 @@ class CounterGate:
         if task.pid not in self.traced_pids:
             return
         if task.pid == self.root.pid:
-            self.final_snapshot = dict(
-                self.kernel.pmu.snapshot(self.kernel.now).by_event
-            )
+            self.final_snapshot = self.kernel.pmu.snapshot()
         self.traced_pids.discard(task.pid)
 
     # -- API ---------------------------------------------------------------
@@ -202,7 +200,7 @@ class CounterGate:
 
     def snapshot(self) -> Dict[str, int]:
         """Current cumulative counts for the traced task set."""
-        return dict(self.kernel.pmu.snapshot(self.kernel.now).by_event)
+        return self.kernel.pmu.snapshot()
 
     def totals(self) -> Dict[str, int]:
         """Final counts (at root exit if it exited, else live)."""

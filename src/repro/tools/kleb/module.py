@@ -92,7 +92,7 @@ class KLebModuleConfig:
             raise ToolError("K-LEB period must be positive")
         if self.buffer_capacity <= 0:
             # Caught here at the tool layer, not as a KernelError from
-            # RingBuffer halfway through the config ioctl.
+            # the ring's constructor halfway through the config ioctl.
             raise ToolError(
                 f"K-LEB buffer capacity must be positive, "
                 f"got {self.buffer_capacity}"
@@ -562,9 +562,7 @@ class KLebModule(KernelModule):
             self._mux_harvest()
             self.final_totals = self._mux_totals()
         else:
-            self.final_totals = dict(
-                self.kernel.pmu.snapshot(self.kernel.now).by_event
-            )
+            self.final_totals = self.kernel.pmu.snapshot()
         self.kernel.pmu.global_disable()
         for probes, handle in self._probe_handles:
             probes.unregister(handle)
@@ -578,7 +576,7 @@ class KLebModule(KernelModule):
         totals_by_cpu: List[Dict[str, int]] = []
         merged: Dict[str, int] = {}
         for cpu_kernel in self.smp.kernels:
-            snapshot = dict(cpu_kernel.pmu.snapshot(cpu_kernel.now).by_event)
+            snapshot = cpu_kernel.pmu.snapshot()
             cpu_kernel.pmu.global_disable()
             totals_by_cpu.append(snapshot)
             for name, value in snapshot.items():

@@ -210,7 +210,7 @@ class _Multiplexer:
 
     def tick(self) -> Dict[str, int]:
         """Harvest the active group's deltas and rotate."""
-        snapshot = self.kernel.pmu.snapshot(self.kernel.now).by_event
+        snapshot = self.kernel.pmu.snapshot()
         for name in self.groups[self.active]:
             self.raw[name] += snapshot.get(name, 0)
         cpu_now = float(self.victim.cpu_time_ns)
@@ -232,7 +232,7 @@ class _Multiplexer:
         self.tick()  # harvest the final window
         total_cpu = float(self.victim.cpu_time_ns)
         totals: Dict[str, float] = {}
-        snapshot = self.kernel.pmu.snapshot(self.kernel.now).by_event
+        snapshot = self.kernel.pmu.snapshot()
         for name in self._fixed_events:
             totals[name] = float(snapshot.get(name, 0))
         for index, group in enumerate(self.groups):
@@ -389,10 +389,8 @@ class PerfRecordSession(Session):
         self.kernel.charge_kernel_time(int(
             costs.PERF_RECORD_SAMPLE_NS * self.cost_factor
         ))
-        snapshot = self.kernel.pmu.snapshot(self.kernel.now)
-        self.samples.append(
-            Sample(timestamp=self.kernel.now, values=dict(snapshot.by_event))
-        )
+        self.samples.append(Sample(timestamp=self.kernel.now,
+                                   values=self.kernel.pmu.snapshot()))
 
     def _sample_fire(self, when: int) -> None:
         self._record_sample()

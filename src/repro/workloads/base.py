@@ -161,7 +161,7 @@ class RateBlock:
         for name, rate in self.rates.items():
             if rate < 0:
                 raise WorkloadError(f"negative rate for event {name!r}")
-        if "INST_RETIRED" in self.rates or "CORE_CYCLES" in self.rates:
+        if self.rates.keys() & {"INST_RETIRED", "CORE_CYCLES", "REF_CYCLES"}:
             raise WorkloadError("instruction/cycle events are implicit in RateBlock")
 
 

@@ -88,7 +88,7 @@ class TestSharedLlcContention:
             BlockCursor(ListProgram("stream", [stream])), seconds(1))
         assert result.stop is ExecStop.PROGRAM_DONE
         assert cache1.stats.accesses == 300_000
-        assert not cluster.shared_llc.contains(victim_address)
+        assert not cluster.llcs[0].contains(victim_address)
 
     def test_streamer_slows_cache_resident_service(self):
         results = corun_parallel([service(), streamer()], seed=1)

@@ -89,6 +89,22 @@ class TestQuarantinedCells:
         result.loss_percent["k-leb"] = 0.5
         assert table1.undefined_headlines(result) == []
 
+    def test_fig4(self):
+        from repro.experiments import fig4
+        from repro.faults import FaultPlan, RunLedger
+
+        ledger = RunLedger()
+        result = fig4.run(trials=2, problem_size=500,
+                          faults=FaultPlan.parse("seed=11,persistent=1.0"),
+                          fault_ledger=ledger)
+        assert result.series is None and result.segments == []
+        text = fig4.render(result)
+        assert QUARANTINED in text and "nan" not in text
+        assert fig4.undefined_headlines(result) == ["LINPACK phase series"]
+        defined = fig4.run(trials=1, problem_size=500)
+        assert fig4.undefined_headlines(defined) == []
+        assert QUARANTINED not in fig4.render(defined)
+
     def test_fig6(self):
         from repro.experiments import fig6
 

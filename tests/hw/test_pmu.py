@@ -92,6 +92,28 @@ class TestCounting:
         with pytest.raises(PMUError):
             pmu.accumulate({"LOADS": 1}, "hypervisor")
 
+    @pytest.mark.parametrize("deliver", [
+        lambda pmu: pmu.accumulate({}, "hypervisor"),
+        lambda pmu: pmu.accumulate_epoch(("LOADS",), (1.0,), "hypervisor"),
+    ], ids=["empty-mapping", "epoch"])
+    def test_invalid_privilege_rejected_on_every_form(self, pmu, deliver):
+        _arm(pmu)
+        with pytest.raises(PMUError):
+            deliver(pmu)
+
+    def test_empty_mapping_is_a_no_op(self, pmu):
+        """An empty mapping neither counts nor delivers a pending PMI."""
+        pmu.program_counter(0, "LOADS", interrupt_on_overflow=True)
+        pmu.global_enable()
+        pmu.write_counter(0, (1 << COUNTER_WIDTH_BITS) - 1)
+        pmu.accumulate({"LOADS": 1}, "user")  # wraps with no handler
+        delivered = []
+        pmu.set_overflow_handler(delivered.append)
+        pmu.accumulate({}, "user")
+        assert delivered == []
+        pmu.accumulate({"LOADS": 1}, "user")
+        assert delivered == [[0]]
+
 
 class TestPrivilegeFiltering:
     def test_user_only_counter_ignores_kernel_work(self, pmu):
@@ -278,16 +300,15 @@ class TestSnapshot:
              "CORE_CYCLES": 110, "REF_CYCLES": 110},
             "user",
         )
-        snap = pmu.snapshot(timestamp=1234)
-        assert snap.timestamp == 1234
-        assert snap.by_event["LLC_MISSES"] == 4
-        assert snap.by_event["BRANCHES"] == 7
-        assert snap.by_event["INST_RETIRED"] == 100
+        snap = pmu.snapshot()
+        assert snap["LLC_MISSES"] == 4
+        assert snap["BRANCHES"] == 7
+        assert snap["INST_RETIRED"] == 100
 
     def test_snapshot_skips_disabled_slots(self, pmu):
         pmu.program_counter(0, "LOADS")
-        snap = pmu.snapshot(0)
-        assert "STORES" not in snap.by_event
+        snap = pmu.snapshot()
+        assert "STORES" not in snap
 
     def test_wrmsr_evtsel_via_raw_register(self, pmu):
         """Drivers may write event-select registers directly."""

@@ -205,6 +205,7 @@ class TestUndefinedHeadline:
     @pytest.mark.parametrize("experiment, headline", [
         ("table1", "K-LEB performance loss"),
         ("table2", "K-LEB vs next-best tool"),
+        ("fig4", "LINPACK phase series"),
         ("fig6", "clean MPKI, attack MPKI"),
         ("fig8", "tightest monitored spread"),
     ])

@@ -40,6 +40,13 @@ class TestBlockValidation:
         with pytest.raises(WorkloadError):
             RateBlock(instructions=1, rates={"INST_RETIRED": 1.0})
 
+    @pytest.mark.parametrize("name", ["CORE_CYCLES", "REF_CYCLES"])
+    def test_rate_block_rejects_implicit_cycle_events(self, name):
+        """The core delivers all three fixed events itself, so a rated
+        duplicate would be counted twice."""
+        with pytest.raises(WorkloadError):
+            RateBlock(instructions=1, rates={name: 1.0})
+
     def test_trace_block_negative_ipo(self):
         with pytest.raises(WorkloadError):
             TraceBlock(ops=[], instructions_per_op=-1)
